@@ -3,18 +3,7 @@
 // additionally triggers the virtual-rank ring all-reduce); DDP runs 8
 // one-EST workers.  Reported: per-mini-batch time normalized to DDP, plus
 // the gradient bytes each EST swaps per step.
-//
-// Second section ("Overlap"): the pipelined bucket all-reduce sweep —
-// overlap on vs off per workload, bitwise digest cross-check, and the
-// modeled pipelined step times emitted to BENCH_overlap.json.  Exit code is
-// the self-check: non-zero when any multi-bucket workload fails the strict
-// modeled inequality, the overlap_frac > 0 bound, the digest match, or the
-// generous wall-clock sanity bound.  `--overlap-only` skips the Fig-13
-// table (the CI bench smoke job runs exactly this).
 #include <cstdio>
-#include <cstring>
-#include <string>
-#include <vector>
 
 #include "bench_util.hpp"
 #include "core/engine.hpp"
@@ -27,164 +16,10 @@ using namespace easyscale;
 
 constexpr std::int64_t kSteps = 10;
 constexpr std::int64_t kEsts = 8;
-constexpr std::int64_t kOverlapEsts = 4;
-constexpr std::int64_t kOverlapSteps = 6;
-
-struct OverlapRow {
-  std::string workload;
-  std::int64_t buckets = 0;
-  double wall_seq_s = 0.0;
-  double wall_overlap_s = 0.0;
-  double modeled_seq_s = 0.0;
-  double modeled_overlap_s = 0.0;
-  double overlap_frac = 0.0;  // mean over measured steps
-  bool digest_match = false;
-};
-
-/// Overlap-on/off sweep: two engines per workload from identical seeds, one
-/// warm-up step each (counts + ready-order rebuild run sequentially on
-/// both), then kOverlapSteps measured.  Returns 0 on a fully passing sweep.
-int run_overlap_sweep() {
-  bench::banner("Overlap",
-                "pipelined bucket all-reduce during backward: on/off sweep "
-                "(modeled step times; see docs/PERFORMANCE.md)");
-  if (!bench::guard_release_build("BENCH_overlap.json")) return 2;
-  // Strict parse: a malformed thread override dies here, loudly naming the
-  // variable, instead of silently running single-threaded.
-  std::optional<std::int64_t> threads;
-  try {
-    threads = env_int64("EASYSCALE_THREADS", 1, 256);
-  } catch (const Error& e) {
-    std::printf("ERROR: %s\n", e.what());
-    return 2;
-  }
-  std::printf("build_type=%s EASYSCALE_THREADS=%s\n", bench::build_type(),
-              threads.has_value() ? std::to_string(*threads).c_str()
-                                  : "(default)");
-  std::printf("%-18s %8s %12s %12s %13s %13s %9s %7s\n", "workload",
-              "buckets", "wall_seq_ms", "wall_ovl_ms", "model_seq_ms",
-              "model_ovl_ms", "ovl_frac", "digest");
-
-  std::vector<OverlapRow> rows;
-  bool ok = true;
-  for (const auto& name : models::workload_names()) {
-    auto wd = models::make_dataset_for(name, 256, 32, 42);
-    core::EasyScaleConfig base;
-    base.workload = name;
-    base.num_ests = kOverlapEsts;
-    base.batch_per_est = 2;
-    core::EasyScaleConfig ocfg = base;
-    ocfg.overlap_comm = true;
-
-    core::EasyScaleEngine seq(base, *wd.train, wd.augment);
-    seq.configure_workers({core::WorkerSpec{}});
-    core::EasyScaleEngine ovl(ocfg, *wd.train, wd.augment);
-    ovl.configure_workers({core::WorkerSpec{}});
-    seq.run_steps(1);
-    ovl.run_steps(1);  // sequential: records contribution counts
-
-    OverlapRow row;
-    row.workload = name;
-    row.wall_seq_s = bench::time_seconds([&] { seq.run_steps(kOverlapSteps); });
-    row.wall_overlap_s = bench::time_seconds([&] {
-      for (std::int64_t s = 0; s < kOverlapSteps; ++s) {
-        ovl.run_steps(1);
-        const auto& st = ovl.last_overlap_stats();
-        if (st.has_value()) {
-          row.modeled_seq_s += st->modeled_seq_s;
-          row.modeled_overlap_s += st->modeled_overlap_s;
-          row.overlap_frac += st->overlap_frac;
-        }
-      }
-    });
-    row.overlap_frac /= static_cast<double>(kOverlapSteps);
-    row.buckets =
-        static_cast<std::int64_t>(ovl.current_layout().num_buckets());
-    row.digest_match = seq.params_digest() == ovl.params_digest();
-
-    const bool multi_bucket = row.buckets >= 2;
-    const bool strict = row.modeled_overlap_s < row.modeled_seq_s;
-    const bool frac_pos = row.overlap_frac > 0.0;
-    // Generous wall sanity bound: one CPU serializes everything, so the
-    // pipelined path only pays thread handoff here — it must not blow up.
-    const bool wall_sane = row.wall_overlap_s < 3.0 * row.wall_seq_s + 0.05;
-    if (!row.digest_match || !wall_sane ||
-        (multi_bucket && (!strict || !frac_pos))) {
-      ok = false;
-    }
-    std::printf("%-18s %8lld %12.2f %12.2f %13.2f %13.2f %9.3f %7s\n",
-                name.c_str(), static_cast<long long>(row.buckets),
-                1e3 * row.wall_seq_s, 1e3 * row.wall_overlap_s,
-                1e3 * row.modeled_seq_s, 1e3 * row.modeled_overlap_s,
-                row.overlap_frac, row.digest_match ? "equal" : "DIVERGED");
-    rows.push_back(std::move(row));
-  }
-
-  // CollectiveReport.overlap_frac: one resilient-fabric config, where the
-  // per-bucket jobs report virtual fabric seconds.
-  double resilient_overlap_frac = 0.0;
-  {
-    auto wd = models::make_dataset_for("ShuffleNetv2", 256, 32, 42);
-    core::EasyScaleConfig rcfg;
-    rcfg.workload = "ShuffleNetv2";
-    rcfg.num_ests = kOverlapEsts;
-    rcfg.batch_per_est = 2;
-    rcfg.overlap_comm = true;
-    rcfg.resilient_comm = true;
-    core::EasyScaleEngine eng(rcfg, *wd.train, wd.augment);
-    eng.configure_workers({core::WorkerSpec{}, core::WorkerSpec{}});
-    eng.run_steps(3);
-    if (eng.last_comm_report().has_value()) {
-      resilient_overlap_frac = eng.last_comm_report()->overlap_frac;
-    }
-    std::printf("resilient fabric: CollectiveReport.overlap_frac = %.6f\n",
-                resilient_overlap_frac);
-    if (resilient_overlap_frac <= 0.0) ok = false;
-  }
-
-  std::FILE* f = std::fopen("BENCH_overlap.json", "w");
-  if (f == nullptr) {
-    std::printf("ERROR: cannot write BENCH_overlap.json\n");
-    return 2;
-  }
-  std::fprintf(f, "{\n  \"context\": {\n");
-  std::fprintf(f, "    \"build_type\": \"%s\",\n", bench::build_type());
-  std::fprintf(f, "    \"easyscale_threads\": \"%s\",\n",
-               threads.has_value() ? std::to_string(*threads).c_str()
-                                   : "default");
-  std::fprintf(f, "    \"num_ests\": %lld,\n",
-               static_cast<long long>(kOverlapEsts));
-  std::fprintf(f, "    \"measured_steps\": %lld,\n",
-               static_cast<long long>(kOverlapSteps));
-  std::fprintf(f, "    \"resilient_overlap_frac\": %.9f\n",
-               resilient_overlap_frac);
-  std::fprintf(f, "  },\n  \"workloads\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const OverlapRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"workload\": \"%s\", \"buckets\": %lld, "
-                 "\"wall_seq_s\": %.9f, \"wall_overlap_s\": %.9f, "
-                 "\"modeled_seq_s\": %.9f, \"modeled_overlap_s\": %.9f, "
-                 "\"overlap_frac\": %.9f, \"digest_match\": %s}%s\n",
-                 r.workload.c_str(), static_cast<long long>(r.buckets),
-                 r.wall_seq_s, r.wall_overlap_s, r.modeled_seq_s,
-                 r.modeled_overlap_s, r.overlap_frac,
-                 r.digest_match ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"pass\": %s\n}\n", ok ? "true" : "false");
-  std::fclose(f);
-  bench::note(ok ? "overlap sweep PASSED (BENCH_overlap.json written)"
-                 : "overlap sweep FAILED (see BENCH_overlap.json)");
-  return ok ? 0 : 1;
-}
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool overlap_only =
-      argc > 1 && std::strcmp(argv[1], "--overlap-only") == 0;
-  if (overlap_only) return run_overlap_sweep();
+int main() {
   bench::banner("Fig 13",
                 "per-mini-batch time of 8 ESTs on 1 GPU vs DDP on 8 GPUs "
                 "(normalized to DDP)");

@@ -56,11 +56,8 @@ namespace {
 
 /// The reference run the chain is computed from: NeuMF, 4 ESTs on 2
 /// workers, 4 steps, seed 7.  Any kernel, reduction-order or RNG change
-/// anywhere in the stack moves at least one link.  The audit computes the
-/// chain through BOTH comm paths — sequential sync and the pipelined
-/// bucket flush — and a `--compare` pin therefore pins the overlapped path
-/// too (the two must already agree before any file comparison happens).
-easyscale::DigestChain audit_chain(bool overlap) {
+/// anywhere in the stack moves at least one link.
+easyscale::DigestChain audit_chain() {
   using namespace easyscale;
   auto wd = models::make_dataset_for("NeuMF", /*train=*/256, /*test=*/64,
                                      /*seed=*/7);
@@ -70,7 +67,6 @@ easyscale::DigestChain audit_chain(bool overlap) {
   cfg.batch_per_est = 8;
   cfg.seed = 7;
   cfg.determinism.level = core::DeterminismLevel::kD1;
-  cfg.overlap_comm = overlap;
   core::EasyScaleEngine engine(cfg, *wd.train, wd.augment);
   engine.configure_workers(std::vector<core::WorkerSpec>(2));
   engine.run_steps(4);
@@ -342,16 +338,7 @@ int main(int argc, char** argv) {
   //    audit's comparison unit across builds, flags and machines.
   std::printf("4) end-to-end parameter digest chain (NeuMF, 2 workers, "
               "4 steps, seed 7)\n");
-  const DigestChain chain = audit_chain(/*overlap=*/false);
-  const DigestChain overlapped = audit_chain(/*overlap=*/true);
-  if (chain != overlapped) {
-    std::fprintf(stderr,
-                 "   => FATAL: overlapped comm path diverged from the "
-                 "sequential chain\n");
-    return 1;
-  }
-  std::printf("   (sequential and pipelined comm paths agree link for "
-              "link)\n");
+  const DigestChain chain = audit_chain();
   if (shard_degree > 0) {
     const DigestChain sharded = shard_chain(shard_degree);
     if (chain != sharded) {

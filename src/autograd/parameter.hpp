@@ -72,15 +72,11 @@ class ParameterStore {
 
 /// Records the order parameter gradients become ready during one backward
 /// pass (deduplicated: a parameter is marked on its first contribution).
-/// Also tallies the raw per-parameter contribution count (NOT deduplicated)
-/// so the overlapped comm path can tell a parameter's LAST contribution —
-/// a shared parameter is only safe to flush after every accumulation.
 class GradReadyRecorder {
  public:
   void begin(std::size_t num_params) {
     order_.clear();
     seen_.assign(num_params, false);
-    counts_.assign(num_params, 0);
   }
   void mark(int param_id) {
     if (param_id < 0) return;
@@ -89,24 +85,12 @@ class GradReadyRecorder {
       seen_[i] = true;
       order_.push_back(param_id);
     }
-    if (i < counts_.size()) ++counts_[i];
   }
   [[nodiscard]] const std::vector<int>& order() const { return order_; }
-  [[nodiscard]] const std::vector<int>& counts() const { return counts_; }
 
  private:
   std::vector<int> order_;
   std::vector<bool> seen_;
-  std::vector<int> counts_;
-};
-
-/// Observer for per-parameter grad-ready marks during backward.  Unlike the
-/// recorder (which only collects order for bucket rebuilds), a sink reacts
-/// live — the overlapped comm path uses one to flush buckets mid-backward.
-class GradReadySink {
- public:
-  virtual ~GradReadySink() = default;
-  virtual void grad_ready(int param_id) = 0;
 };
 
 }  // namespace easyscale::autograd

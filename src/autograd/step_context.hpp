@@ -17,7 +17,6 @@ struct StepContext {
   rng::StreamSet* rng = nullptr;
   bool training = true;
   GradReadyRecorder* grad_ready = nullptr;
-  GradReadySink* ready_sink = nullptr;  // live per-bucket flush (overlap path)
 
   [[nodiscard]] const kernels::ExecContext& ex() const {
     ES_CHECK(exec != nullptr, "StepContext without ExecContext");
@@ -29,7 +28,6 @@ struct StepContext {
   }
   void mark_ready(int param_id) const {
     if (grad_ready != nullptr) grad_ready->mark(param_id);
-    if (ready_sink != nullptr) ready_sink->grad_ready(param_id);
   }
 };
 

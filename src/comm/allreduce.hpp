@@ -50,12 +50,11 @@ void validate_allreduce_inputs(const BucketLayout& layout,
 void allreduce_average(const BucketLayout& layout,
                        std::vector<GradientSet*>& parts);
 
-/// Reduce exactly one bucket of `layout` (same flatten / ring association /
-/// average / scatter as the matching iteration of allreduce_average).  The
-/// overlapped comm path calls this per flushed bucket; running it for every
-/// bucket in any order is bitwise identical to one allreduce_average call,
-/// because buckets touch disjoint gradients.  Skips input validation — the
-/// caller validates the full layout once per step.
+/// Reduce exactly one bucket of `layout`: flatten, ring-sum in NCCL
+/// association order, average, scatter back.  allreduce_average is this
+/// body run over every bucket in layout order after one validation pass;
+/// the resilient collective calls it per bucket once a fault-free attempt
+/// has been simulated.  Skips input validation — the caller validates.
 void allreduce_average_bucket(const BucketLayout& layout, std::size_t bucket,
                               const std::vector<GradientSet*>& parts);
 

@@ -36,25 +36,9 @@ void merge_collective_report(CollectiveReport& total,
 CollectiveReport resilient_allreduce_average(
     const BucketLayout& layout, std::vector<GradientSet*>& parts,
     Transport& transport, MembershipMonitor& monitor,
-    const ResilientConfig& cfg, const std::vector<int>* host_of_part,
-    const std::vector<std::size_t>* bucket_ids) {
-  // Subset calls come from the overlapped pipeline, whose owner validated
-  // the full layout once before submitting any job; validating here would
-  // read buckets other ranks are still publishing (a racy cross-bucket
-  // scan on the comm thread).
-  if (bucket_ids == nullptr) validate_allreduce_inputs(layout, parts);
+    const ResilientConfig& cfg, const std::vector<int>* host_of_part) {
+  validate_allreduce_inputs(layout, parts);
   ES_CHECK(cfg.max_attempts >= 1, "need at least one collective attempt");
-  std::vector<std::size_t> selected;
-  if (bucket_ids != nullptr) {
-    selected = *bucket_ids;
-    for (std::size_t b : selected) {
-      ES_CHECK(b < layout.buckets.size(),
-               "bucket_ids references bucket " << b << " outside layout");
-    }
-  } else {
-    selected.resize(layout.buckets.size());
-    for (std::size_t b = 0; b < selected.size(); ++b) selected[b] = b;
-  }
   const int world = transport.world();
   std::vector<int> hosts;
   if (host_of_part != nullptr) {
@@ -105,8 +89,7 @@ CollectiveReport resilient_allreduce_average(
     // transfer.  Any non-clean delivery aborts the in-flight operation —
     // partial reductions are never published.
     bool faulted = false;
-    for (std::size_t bi = 0; bi < selected.size() && !faulted; ++bi) {
-      const std::size_t b = selected[bi];
+    for (std::size_t b = 0; b < layout.buckets.size() && !faulted; ++b) {
       const std::int64_t flat = bucket_numel(layout, b, *parts[live[0]]);
       const std::int64_t chunk_bytes =
           ((flat + ring_w - 1) / ring_w) *
@@ -172,7 +155,7 @@ CollectiveReport resilient_allreduce_average(
       std::vector<GradientSet*> live_parts;
       live_parts.reserve(live.size());
       for (std::size_t i : live) live_parts.push_back(parts[i]);
-      for (std::size_t b : selected) {
+      for (std::size_t b = 0; b < layout.buckets.size(); ++b) {
         allreduce_average_bucket(layout, b, live_parts);
       }
       for (std::size_t i : live) monitor.clear_timeouts(hosts[i]);

@@ -75,17 +75,13 @@ struct CollectiveReport {
   double backoff_wait_s = 0.0;     // of which: backoff waits
   std::int64_t capped_backoffs = 0;  // waits clipped at backoff.max_s
   std::vector<CollectiveIncident> incidents;
-  /// Share of this collective's virtual comm time hidden under backward
-  /// compute, when the overlapped (pipelined) comm path ran it.  0 on the
-  /// sequential path.  Filled in by the caller that owns the pipeline
-  /// (core::Engine / ddp::Trainer), since only it knows the compute window.
-  double overlap_frac = 0.0;
 };
 
-/// Merge `piece` (one bucket's collective, from an overlapped per-bucket
-/// job) into the step-level `total` report.  Time and incident accounting
-/// add up; `survivors` takes the LAST piece's view (membership only shrinks
-/// within a step); `ok` ANDs.
+/// Merge `piece` (a later collective of the same step, e.g. the ZeRO-1
+/// parameter all-gather after the gradient reduce-scatter) into the
+/// step-level `total` report.  Time and incident accounting add up;
+/// `survivors` takes the LAST piece's view (membership only shrinks within
+/// a step); `ok` ANDs.
 void merge_collective_report(CollectiveReport& total,
                              const CollectiveReport& piece);
 
@@ -96,18 +92,13 @@ void merge_collective_report(CollectiveReport& total,
 /// nullptr means the identity mapping and requires
 /// parts.size() <= transport.world().  Messages between co-hosted parts
 /// are local and bypass the fabric.  Parts hosted by a condemned rank are
-/// excluded under kShrink; their gradients are left untouched.
-///
-/// `bucket_ids` restricts the collective to a subset of `layout`'s buckets
-/// (nullptr = all, in layout order).  The overlapped comm path issues one
-/// single-bucket call per flushed bucket; because each call re-executes the
-/// exact per-bucket ring association, the concatenation of subset calls is
-/// bitwise identical to one whole-layout call over the same membership.
+/// excluded under kShrink; their gradients are left untouched.  Inputs
+/// are validated (validate_allreduce_inputs) before anything touches the
+/// transport.
 CollectiveReport resilient_allreduce_average(
     const BucketLayout& layout, std::vector<GradientSet*>& parts,
     Transport& transport, MembershipMonitor& monitor,
     const ResilientConfig& cfg = {},
-    const std::vector<int>* host_of_part = nullptr,
-    const std::vector<std::size_t>* bucket_ids = nullptr);
+    const std::vector<int>* host_of_part = nullptr);
 
 }  // namespace easyscale::comm

@@ -330,32 +330,17 @@ CollectiveReport resilient_reduce_scatter_average(
     const BucketLayout& layout, std::vector<GradientSet*>& parts,
     const std::vector<ShardSlices>& owned_of_part, Transport& transport,
     MembershipMonitor& monitor, const ResilientConfig& cfg,
-    const std::vector<int>* host_of_part,
-    const std::vector<std::size_t>* bucket_ids) {
-  // Subset calls come from the overlapped pipeline, whose owner validated
-  // the full layout once before submitting any job (see
-  // resilient_allreduce_average).
-  if (bucket_ids == nullptr) {
-    validate_reduce_scatter_inputs(layout, parts, owned_of_part);
-  }
-  std::vector<std::size_t> selected;
-  if (bucket_ids != nullptr) {
-    selected = *bucket_ids;
-    for (std::size_t b : selected) {
-      ES_CHECK(b < layout.buckets.size(),
-               "bucket_ids references bucket " << b << " outside layout");
-    }
-  } else {
-    selected.resize(layout.buckets.size());
-    for (std::size_t b = 0; b < selected.size(); ++b) selected[b] = b;
-  }
+    const std::vector<int>* host_of_part) {
+  validate_reduce_scatter_inputs(layout, parts, owned_of_part);
   std::int64_t total = 0;
-  for (std::size_t b : selected) total += bucket_numel(layout, b, *parts[0]);
+  for (std::size_t b = 0; b < layout.buckets.size(); ++b) {
+    total += bucket_numel(layout, b, *parts[0]);
+  }
   const auto ring_w = static_cast<std::int64_t>(parts.size());
   return run_sharded_collective(
       parts.size(), total, /*steps_per_round=*/ring_w - 1, transport, monitor,
       cfg, host_of_part, [&] {
-        for (std::size_t b : selected) {
+        for (std::size_t b = 0; b < layout.buckets.size(); ++b) {
           reduce_scatter_average_bucket(layout, b, parts, owned_of_part);
         }
       });

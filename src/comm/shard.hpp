@@ -66,12 +66,10 @@ void reduce_scatter_average(const BucketLayout& layout,
                             std::vector<GradientSet*>& parts,
                             const std::vector<ShardSlices>& owned_of_part);
 
-/// Reduce-scatter exactly one bucket of `layout` (the per-flushed-bucket
-/// unit of the overlapped comm path).  Running it for every bucket in any
-/// order equals one reduce_scatter_average call — buckets touch disjoint
-/// gradients.  Skips input validation: the caller validates the full layout
-/// once per step before submitting any bucket job (see
-/// resilient_allreduce_average for why validating here would race).
+/// Reduce-scatter exactly one bucket of `layout`: the per-bucket body of
+/// reduce_scatter_average and of its resilient variant's fault-free
+/// execution.  Skips input validation — the caller validates the full
+/// layout first.
 void reduce_scatter_average_bucket(
     const BucketLayout& layout, std::size_t bucket,
     const std::vector<GradientSet*>& parts,
@@ -88,14 +86,13 @@ void all_gather_params(const std::vector<autograd::ParameterStore*>& stores,
 /// ring's W-1 reduce-scatter transfer steps ride the fabric, any fault
 /// aborts the in-flight operation, and the collective re-executes bitwise
 /// after backoff.  cfg.on_death MUST be DeathPolicy::kAbort (see header
-/// comment).  `bucket_ids` restricts to a subset of buckets for the
-/// overlapped path, like resilient_allreduce_average.
+/// comment).  Inputs are validated (validate_reduce_scatter_inputs) before
+/// anything touches the transport.
 CollectiveReport resilient_reduce_scatter_average(
     const BucketLayout& layout, std::vector<GradientSet*>& parts,
     const std::vector<ShardSlices>& owned_of_part, Transport& transport,
     MembershipMonitor& monitor, const ResilientConfig& cfg = {},
-    const std::vector<int>* host_of_part = nullptr,
-    const std::vector<std::size_t>* bucket_ids = nullptr);
+    const std::vector<int>* host_of_part = nullptr);
 
 /// Failure-aware all_gather_params: W-1 all-gather transfer steps on the
 /// fabric with the same abort + bitwise re-execute discipline.  cfg.on_death

@@ -193,18 +193,9 @@ void EasyScaleEngine::one_step() {
 
   autograd::GradReadyRecorder recorder;
   const bool record = !rebuilt_;
-  // Contribution counts power the pipelined flush; a sequential step
-  // records them (usually the same first step that records ready order —
-  // after a restore into a fresh engine, one extra sequential step).
-  const bool need_counts = config_.overlap_comm && contrib_counts_.empty();
-  // Witness-due steps stay sequential: the witness compares against
-  // pre-reduce gradient buffers, which the pipelined flush averages in
-  // flight.
-  const bool overlap =
-      config_.overlap_comm && !record && !need_counts && !witness_due;
-
-  // Pipelined-flush plumbing (set up before workers run so the comm slot
-  // can reduce bucket k while backward still produces bucket k+1).
+  // Collective inputs are set up before the workers run: building them
+  // after the worker loop instead measured ~10% slower steps on
+  // stepbench's rescale-est (4-core x86 host), a heap-reuse effect.
   std::vector<comm::GradientSet*> parts;
   parts.reserve(grad_buffers_.size());
   for (auto& g : grad_buffers_) parts.push_back(&g);
@@ -213,31 +204,6 @@ void EasyScaleEngine::one_step() {
     for (std::int64_t est : workers_[w].ests) {
       host_of_part[static_cast<std::size_t>(est)] = static_cast<int>(w);
     }
-  }
-  comm::CollectiveReport step_report;  // comm-thread-only until drain()
-  std::unique_ptr<comm::OverlapCoordinator> coordinator;
-  if (overlap) {
-    if (async_engine_ == nullptr) {
-      async_engine_ =
-          std::make_unique<comm::AsyncCollectiveEngine>(config_.async_comm);
-    }
-    comm::validate_allreduce_inputs(layout_, parts);
-    coordinator = std::make_unique<comm::OverlapCoordinator>(
-        layout_.num_buckets(), static_cast<int>(config_.num_ests),
-        *async_engine_);
-    async_engine_->begin_step([&](std::size_t b) -> double {
-      if (config_.resilient_comm) {
-        comm::ResilientConfig rcfg = config_.resilient;
-        rcfg.on_death = comm::DeathPolicy::kAbort;
-        const std::vector<std::size_t> ids{b};
-        const comm::CollectiveReport piece = comm::resilient_allreduce_average(
-            layout_, parts, *transport_, *monitor_, rcfg, &host_of_part, &ids);
-        comm::merge_collective_report(step_report, piece);
-        return piece.virtual_time_s;
-      }
-      comm::allreduce_average_bucket(layout_, b, parts);
-      return 0.0;
-    });
   }
 
   float last_loss = 0.0f;
@@ -263,40 +229,17 @@ void EasyScaleEngine::one_step() {
       step_ctx.exec = &worker.exec;
       step_ctx.rng = &worker.streams;
       step_ctx.training = true;
-      if ((record || need_counts) && est == 0) {
+      if (record && est == 0) {
         recorder.begin(worker.replica->params().size());
         step_ctx.grad_ready = &recorder;
-      }
-      // Pipelined flush: as backward finishes a bucket, its gradients swap
-      // out ("D2H") and the bucket is published; the last EST to publish
-      // hands it to the communicator slot mid-backward.
-      std::unique_ptr<comm::BucketReadyTracker> tracker;
-      if (overlap) {
-        tracker = std::make_unique<comm::BucketReadyTracker>(
-            layout_, contrib_counts_, [&, est](std::size_t b) {
-              auto& store = worker.replica->params();
-              auto& buf = grad_buffers_[static_cast<std::size_t>(est)];
-              for (const int pid : layout_.buckets[b]) {
-                buf.grads[static_cast<std::size_t>(pid)] =
-                    store.all()[static_cast<std::size_t>(pid)]->grad;
-              }
-              coordinator->publish(b);
-            });
-        step_ctx.ready_sink = tracker.get();
       }
       const float loss = worker.replica->train_step(step_ctx, batch);
       if (witness_due && est == witnessed[wi]) witness_losses[wi] = loss;
       if (est == config_.num_ests - 1) last_loss = loss;
-      if (overlap) {
-        // Flush whatever backward did not already: the tail of the D2H
-        // swap, before this worker's replica moves on to its next EST.
-        tracker->finish();
-      } else {
-        // Gradient D2H swap: the only working-set category that must leave
-        // the device per EST (§3.2).
-        grad_buffers_[static_cast<std::size_t>(est)] =
-            comm::GradientSet::from_store(worker.replica->params());
-      }
+      // Gradient D2H swap: the only working-set category that must leave
+      // the device per EST (§3.2).
+      grad_buffers_[static_cast<std::size_t>(est)] =
+          comm::GradientSet::from_store(worker.replica->params());
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         stats_.gradient_bytes_swapped += comm::gradient_bytes(
@@ -335,18 +278,7 @@ void EasyScaleEngine::one_step() {
   }
   // ElasticDDP: ring all-reduce over the *virtual* ranks with the recorded
   // bucket layout — bitwise independent of the physical worker count.
-  if (overlap) {
-    // Every bucket's job is already submitted (the trackers' finish()
-    // calls flushed the tails); wait out the in-flight remainder.  drain()
-    // rethrows any job failure (RankDeathError, CollectiveAbortedError)
-    // exactly like the sequential collective would.
-    const comm::OverlapStats overlap_stats = async_engine_->drain();
-    last_overlap_stats_ = overlap_stats;
-    if (config_.resilient_comm) {
-      step_report.overlap_frac = overlap_stats.overlap_frac;
-      last_comm_report_ = std::move(step_report);
-    }
-  } else if (config_.resilient_comm) {
+  if (config_.resilient_comm) {
     // Virtual participants ride their physical worker's links; co-hosted
     // ESTs exchange chunks locally.  A condemned worker aborts the step
     // (kAbort) — its ESTs' gradients are unrecoverable without a rollback.
@@ -368,7 +300,6 @@ void EasyScaleEngine::one_step() {
                   .layout_from_ready_order(recorder.order());
     rebuilt_ = true;
   }
-  if (need_counts) contrib_counts_ = recorder.counts();
   losses_.push_back(last_loss);
   ++global_step_;
 }

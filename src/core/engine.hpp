@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "comm/allreduce.hpp"
-#include "comm/async_allreduce.hpp"
 #include "comm/bucket.hpp"
 #include "comm/resilient.hpp"
 #include "common/digest.hpp"
@@ -89,14 +88,6 @@ struct EasyScaleConfig {
   /// divergence throws IntegrityError out of run_steps().  Requires a
   /// deterministic kernel policy (the witness certifies bitwise replay).
   WitnessConfig witness;
-  /// Pipelined bucket flush: each EST's finished buckets swap out ("D2H")
-  /// and enter the all-reduce on a dedicated communicator slot while the
-  /// remaining EST backward still runs.  Bitwise identical to the
-  /// sequential sync (docs/PERFORMANCE.md).  Steps that record state run
-  /// sequentially: the first step (contribution counts + ready order) and
-  /// every witness-due step (the witness must read pre-reduce gradients).
-  bool overlap_comm = false;
-  comm::AsyncConfig async_comm;
 };
 
 /// Swap-traffic counters for the context-switching experiments.
@@ -221,14 +212,6 @@ class EasyScaleEngine {
   /// Cumulative fabric counters (zeroed by configure_workers).
   [[nodiscard]] const comm::TransportStats& transport_stats() const;
 
-  /// Overlap accounting of the most recent pipelined step (empty before
-  /// the first overlapped step or with overlap_comm = false; witness-due
-  /// and recording steps run sequentially and do not update it).
-  [[nodiscard]] const std::optional<comm::OverlapStats>&
-  last_overlap_stats() const {
-    return last_overlap_stats_;
-  }
-
   /// Per-physical-worker cumulative injected stall seconds — the straggler
   /// signal sched/intra_job re-balances ESTs on.  Empty when disabled.
   [[nodiscard]] std::vector<double> comm_stall_per_worker() const;
@@ -274,13 +257,6 @@ class EasyScaleEngine {
   std::unique_ptr<comm::SimTransport> transport_;
   std::unique_ptr<comm::MembershipMonitor> monitor_;
   std::optional<comm::CollectiveReport> last_comm_report_;
-
-  // Pipelined-flush state (overlap_comm = true).  The engine thread is
-  // lazy; contribution counts come from the recorded sequential step and
-  // stay valid across restores (they are a property of the model graph).
-  std::unique_ptr<comm::AsyncCollectiveEngine> async_engine_;
-  std::optional<comm::OverlapStats> last_overlap_stats_;
-  std::vector<int> contrib_counts_;
 
   // Re-execution witness state.  The replica is lazy (first witness step)
   // and reused; its exec context is re-pointed at the witnessed worker's

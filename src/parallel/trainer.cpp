@@ -131,14 +131,6 @@ void Trainer::optimize_and_publish() {
 }
 
 void Trainer::one_step() {
-  // The overlapped path needs per-parameter contribution counts, which a
-  // sequential step records first — exactly DDP's unoverlapped first
-  // iteration (which it spends observing ready order anyway).
-  const bool need_counts = config_.overlap_comm && contrib_counts_.empty();
-  if (config_.overlap_comm && !need_counts) {
-    one_step_overlapped();
-    return;
-  }
   autograd::GradReadyRecorder recorder;
   float last_loss = 0.0f;
   auto run_rank = [&](std::int64_t r) {
@@ -150,7 +142,7 @@ void Trainer::one_step() {
     ctx.training = true;
     // Stock DDP observes ready order on the first iteration to rebuild the
     // bucket mapping; rank 0's order is representative (identical graphs).
-    if (r == 0 && ((config_.rebuild_buckets && !rebuilt_) || need_counts)) {
+    if (r == 0 && config_.rebuild_buckets && !rebuilt_) {
       recorder.begin(rep.workload->params().size());
       ctx.grad_ready = &recorder;
     }
@@ -215,124 +207,6 @@ void Trainer::one_step() {
     layout_ = mgr.layout_from_ready_order(recorder.order());
     rebuilt_ = true;
   }
-  if (need_counts) contrib_counts_ = recorder.counts();
-  losses_.push_back(last_loss);
-  ++global_step_;
-}
-
-void Trainer::one_step_overlapped() {
-  if (engine_ == nullptr) {
-    engine_ = std::make_unique<comm::AsyncCollectiveEngine>(config_.async_comm);
-  }
-  const std::size_t num_buckets = layout_.num_buckets();
-  // Preallocate one gradient set per rank; each rank's flush copies a
-  // finished bucket's gradients in ("D2H") before publishing it.
-  std::vector<comm::GradientSet> sets;
-  sets.reserve(replicas_.size());
-  for (auto& rep : replicas_) {
-    sets.push_back(comm::GradientSet::zeros_like(rep.workload->params()));
-  }
-  std::vector<comm::GradientSet*> parts;
-  parts.reserve(sets.size());
-  for (auto& s : sets) parts.push_back(&s);
-  // Owner-side validation once per step; the per-bucket jobs then run with
-  // validation skipped (see resilient_allreduce_average for why).
-  if (plan_.sharded()) {
-    comm::validate_reduce_scatter_inputs(layout_, parts, owned_slices_);
-  } else {
-    comm::validate_allreduce_inputs(layout_, parts);
-  }
-
-  // Job-side state: only the single comm thread touches these between
-  // begin_step and the drain() idle handshake.
-  comm::CollectiveReport step_report;
-  VoteReport vote_report;
-  auto job = [&](std::size_t b) -> double {
-    if (config_.logical_world > 0) {
-      vote_and_reduce_bucket(b, sets, vote_report);
-      return 0.0;
-    }
-    if (config_.resilient_comm) {
-      comm::ResilientConfig rcfg = config_.resilient;
-      rcfg.on_death = comm::DeathPolicy::kAbort;
-      const std::vector<std::size_t> ids{b};
-      const comm::CollectiveReport piece =
-          plan_.sharded()
-              ? comm::resilient_reduce_scatter_average(
-                    layout_, parts, owned_slices_, *transport_, *monitor_,
-                    rcfg, nullptr, &ids)
-              : comm::resilient_allreduce_average(layout_, parts, *transport_,
-                                                  *monitor_, rcfg, nullptr,
-                                                  &ids);
-      comm::merge_collective_report(step_report, piece);
-      return piece.virtual_time_s;
-    }
-    if (plan_.sharded()) {
-      comm::reduce_scatter_average_bucket(layout_, b, parts, owned_slices_);
-    } else {
-      comm::allreduce_average_bucket(layout_, b, parts);
-    }
-    return 0.0;
-  };
-
-  comm::OverlapCoordinator coordinator(
-      num_buckets, static_cast<int>(replicas_.size()), *engine_);
-  engine_->begin_step(job);
-  float last_loss = 0.0f;
-  auto run_rank = [&](std::int64_t r) {
-    Replica& rep = replicas_[static_cast<std::size_t>(r)];
-    rep.workload->params().zero_grads();
-    comm::BucketReadyTracker tracker(
-        layout_, contrib_counts_, [&, r](std::size_t b) {
-          auto& store =
-              replicas_[static_cast<std::size_t>(r)].workload->params();
-          auto& set = sets[static_cast<std::size_t>(r)];
-          for (const int pid : layout_.buckets[b]) {
-            set.grads[static_cast<std::size_t>(pid)] =
-                store.all()[static_cast<std::size_t>(pid)]->grad;
-          }
-          coordinator.publish(b);
-        });
-    autograd::StepContext ctx;
-    ctx.exec = &rep.exec;
-    ctx.rng = &rep.streams;
-    ctx.training = true;
-    ctx.ready_sink = &tracker;
-    const data::Batch batch = rep.pipeline->next();
-    const float loss = rep.workload->train_step(ctx, batch);
-    tracker.finish();
-    if (r == config_.world_size - 1) last_loss = loss;
-  };
-  if (config_.parallel_workers && config_.world_size > 1) {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(config_.world_size));
-    for (std::int64_t r = 0; r < config_.world_size; ++r) {
-      threads.emplace_back([&run_rank, r] { run_rank(r); });
-    }
-    for (auto& t : threads) t.join();
-  } else {
-    for (std::int64_t r = 0; r < config_.world_size; ++r) run_rank(r);
-  }
-  // drain() rethrows any job failure (IntegrityError, RankDeathError,
-  // CollectiveAbortedError) exactly like the sequential sync would.
-  const comm::OverlapStats stats = engine_->drain();
-  last_overlap_stats_ = stats;
-  if (config_.logical_world > 0) {
-    // Every bucket's group-0 representative is rank 0 on a clean step, so
-    // sets[0] holds the full averaged result — publish it everywhere,
-    // matching the sequential path bit for bit.
-    last_vote_report_ = std::move(vote_report);
-    for (auto& rep : replicas_) sets[0].to_store(rep.workload->params());
-  } else {
-    if (config_.resilient_comm) {
-      step_report.overlap_frac = stats.overlap_frac;
-      last_comm_report_ = std::move(step_report);
-    }
-    for (std::size_t r = 0; r < replicas_.size(); ++r) {
-      sets[r].to_store(replicas_[r].workload->params());
-    }
-  }
-  optimize_and_publish();
   losses_.push_back(last_loss);
   ++global_step_;
 }
@@ -462,86 +336,6 @@ void Trainer::vote_and_reduce(std::vector<comm::GradientSet>& sets) {
   last_vote_report_ = std::move(report);
 }
 
-void Trainer::vote_and_reduce_bucket(std::size_t b,
-                                     std::vector<comm::GradientSet>& sets,
-                                     VoteReport& report) {
-  const std::int64_t logical = config_.logical_world;
-  // Per-rank digest of this bucket's raw gradient bit patterns.
-  std::vector<std::uint64_t> digests(sets.size());
-  for (std::size_t r = 0; r < sets.size(); ++r) {
-    Digest d;
-    for (const int pid : layout_.buckets[b]) {
-      d.update(std::span<const float>(
-          sets[r].grads[static_cast<std::size_t>(pid)].data()));
-    }
-    digests[r] = d.value();
-  }
-  report.buckets_checked += static_cast<std::int64_t>(sets.size());
-  std::vector<comm::GradientSet*> representatives;
-  representatives.reserve(static_cast<std::size_t>(logical));
-  for (std::int64_t l = 0; l < logical; ++l) {
-    std::vector<std::int64_t> group;
-    for (std::int64_t r = l; r < config_.world_size; r += logical) {
-      group.push_back(r);
-    }
-    std::map<std::uint64_t, std::int64_t> votes;
-    for (const std::int64_t r : group) {
-      ++votes[digests[static_cast<std::size_t>(r)]];
-    }
-    if (votes.size() > 1) {
-      std::uint64_t majority = 0;
-      std::int64_t best = 0;
-      bool tied = false;
-      for (const auto& [digest, count] : votes) {
-        if (count > best) {
-          best = count;
-          majority = digest;
-          tied = false;
-        } else if (count == best) {
-          tied = true;
-        }
-      }
-      for (const std::int64_t r : group) {
-        if (tied || digests[static_cast<std::size_t>(r)] != majority) {
-          report.corrupt_ranks.push_back(r);
-        }
-      }
-    }
-    std::int64_t representative = -1;
-    for (const std::int64_t r : group) {
-      if (std::find(report.corrupt_ranks.begin(), report.corrupt_ranks.end(),
-                    r) == report.corrupt_ranks.end()) {
-        representative = r;
-        break;
-      }
-    }
-    if (representative >= 0) {
-      representatives.push_back(&sets[static_cast<std::size_t>(representative)]);
-    }
-  }
-  if (!report.corrupt_ranks.empty() ||
-      static_cast<std::int64_t>(representatives.size()) != logical) {
-    std::sort(report.corrupt_ranks.begin(), report.corrupt_ranks.end());
-    report.corrupt_ranks.erase(
-        std::unique(report.corrupt_ranks.begin(), report.corrupt_ranks.end()),
-        report.corrupt_ranks.end());
-    const std::int64_t first =
-        report.corrupt_ranks.empty() ? -1 : report.corrupt_ranks.front();
-    std::ostringstream os;
-    os << "gradient digest vote failed at step " << global_step_ << " (bucket "
-       << b << ", overlapped flush):";
-    for (const std::int64_t r : report.corrupt_ranks) os << " rank" << r;
-    // Publish the report before the throw unwinds through drain(): the
-    // detect-before-publish contract is visible even on a failed step.
-    last_vote_report_ = report;
-    throw core::IntegrityError(first, first >= 0 ? first % logical : -1,
-                               global_step_, os.str());
-  }
-  // On a clean bucket the representatives are ranks 0..logical-1, the same
-  // parts (and ring association) the sequential vote reduces over.
-  comm::allreduce_average_bucket(layout_, b, representatives);
-}
-
 void Trainer::gather_canonical_state_into(const Plan& from, std::int64_t dst) {
   if (!from.sharded()) return;  // every rank already holds full state
   auto& params0 = replicas_[0].workload->params();
@@ -639,7 +433,6 @@ void Trainer::build_checkpoint_image(std::vector<std::uint8_t>* payload,
   w.write(global_step_);
   w.write(rebuilt_);
   layout_.save(w);
-  w.write_vector(contrib_counts_);
   params0.save_values(w);
   replicas_[0].optimizer->save(w);
   replicas_[0].scheduler->save(w);
@@ -750,7 +543,6 @@ void Trainer::apply_checkpoint_image(const std::vector<std::uint8_t>& bytes,
   global_step_ = r.read<std::int64_t>();
   rebuilt_ = r.read<bool>();
   layout_ = comm::BucketLayout::load(r);
-  contrib_counts_ = r.read_vector<int>();
   // Canonical parameters into rank 0, then replicate (parameters are
   // replicated under every plan).
   auto& params0 = replicas_[0].workload->params();

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "comm/allreduce.hpp"
-#include "comm/async_allreduce.hpp"
 #include "comm/bucket.hpp"
 #include "comm/resilient.hpp"
 #include "comm/shard.hpp"
@@ -75,11 +74,6 @@ struct TrainerConfig {
   /// Redundant-replica SDC voting (see the PR-5 integrity layer).  Mutually
   /// exclusive with shard_degree > 1: voting needs full gradient replicas.
   std::int64_t logical_world = 0;
-  /// Pipelined bucket flush (docs/PERFORMANCE.md): bitwise identical to
-  /// the sequential path, including when sharded (the per-bucket
-  /// reduce-scatter is subset-aware like the all-reduce).
-  bool overlap_comm = false;
-  comm::AsyncConfig async_comm;
   /// Optimizer-state shard degree: 1 = replicated (stock DDP), > 1 =
   /// ZeRO-1 sharding.  Must divide world_size and be <= plan_chunks.
   int shard_degree = 1;
@@ -205,13 +199,6 @@ class Trainer {
     return last_vote_report_;
   }
 
-  /// Overlap accounting of the most recent pipelined step (empty before
-  /// the first overlapped step or with overlap_comm = false).
-  [[nodiscard]] const std::optional<comm::OverlapStats>&
-  last_overlap_stats() const {
-    return last_overlap_stats_;
-  }
-
  private:
   struct Replica {
     std::unique_ptr<models::Workload> workload;
@@ -223,18 +210,9 @@ class Trainer {
   };
 
   void one_step();
-  /// Pipelined variant of one_step's sync: per-bucket flush jobs on the
-  /// async engine, bitwise identical results.  Requires contrib_counts_.
-  void one_step_overlapped();
   /// Digest vote + representative reduction (logical_world > 0).  Throws
   /// core::IntegrityError when a rank loses the vote.
   void vote_and_reduce(std::vector<comm::GradientSet>& sets);
-  /// Single-bucket vote + representative reduction for the overlap path:
-  /// same group/majority logic as vote_and_reduce restricted to bucket `b`
-  /// (local digests; the overlapped control plane never rides the fabric).
-  void vote_and_reduce_bucket(std::size_t b,
-                              std::vector<comm::GradientSet>& sets,
-                              VoteReport& report);
   /// Recompute owned_slices_ / gather_map_ from plan_.
   void rebuild_shard_maps();
   /// Apply the optimizer update: full step when replicated, owned slices
@@ -265,11 +243,6 @@ class Trainer {
   std::unique_ptr<comm::MembershipMonitor> monitor_;
   std::optional<comm::CollectiveReport> last_comm_report_;
   std::optional<VoteReport> last_vote_report_;
-  std::optional<comm::OverlapStats> last_overlap_stats_;
-  std::unique_ptr<comm::AsyncCollectiveEngine> engine_;
-  /// Per-parameter gradient contribution counts from the recorded first
-  /// step; empty until recorded.  Feeds BucketReadyTracker.
-  std::vector<int> contrib_counts_;
   comm::BucketLayout layout_;
   bool rebuilt_ = false;
   std::int64_t global_step_ = 0;

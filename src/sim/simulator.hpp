@@ -68,8 +68,8 @@ struct SimConfig {
   double sdc_replay_s = 120.0;
   /// Step-time decomposition for the comm/compute-overlap model: the share
   /// of a multi-GPU job's nominal step time spent in gradient sync.  With
-  /// `comm_overlap_frac > 0` the pipelined bucket flush hides that share
-  /// under backward and the job's effective step time shrinks from
+  /// `comm_overlap_frac > 0` a GPU's comm stream hides that share of the
+  /// bucket all-reduce under backward and the job's effective step time shrinks from
   /// `compute + comm` to overlapped_step_seconds(...) — at 0 the model
   /// degrades to the historical additive one exactly (unit-tested), so
   /// fig14/fig16 trace replays stay reproducible.  0 disables.

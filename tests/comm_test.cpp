@@ -5,7 +5,10 @@
 #include "autograd/parameter.hpp"
 #include "comm/allreduce.hpp"
 #include "comm/bucket.hpp"
+#include "comm/resilient.hpp"
 #include "comm/ring.hpp"
+#include "comm/shard.hpp"
+#include "comm/transport.hpp"
 #include "common/digest.hpp"
 #include "rng/sampling.hpp"
 
@@ -344,14 +347,35 @@ TEST(AllreduceValidation, RejectsBucketIdsOutsideGradientRange) {
   std::vector<autograd::Parameter> params;
   params.emplace_back("w", tensor::Shape{4});
   auto store = make_store(params);
-  auto s = GradientSet::zeros_like(store);
-  std::vector<GradientSet*> parts{&s};
+  auto s0 = GradientSet::zeros_like(store);
+  auto s1 = GradientSet::zeros_like(store);
+  std::vector<GradientSet*> parts{&s0, &s1};
+  const std::vector<ShardSlices> owned(2, ShardSlices{{0, 0, 4}});
   BucketLayout out_of_range;
   out_of_range.buckets = {{0, 1}};  // gradient 1 does not exist
-  EXPECT_THROW(allreduce_average(out_of_range, parts), Error);
   BucketLayout duplicated;
   duplicated.buckets = {{0}, {0}};  // gradient 0 reduced twice
-  EXPECT_THROW(allreduce_average(duplicated, parts), Error);
+  // The resilient collectives validate before anything touches the fabric:
+  // a rejected layout leaves the transport's counters and clock untouched.
+  SimTransport transport(2, TransportConfig{});
+  MembershipMonitor monitor(2, TransportConfig{});
+  ResilientConfig rcfg;
+  rcfg.on_death = DeathPolicy::kAbort;
+  const TransportStats before = transport.stats();
+  for (const BucketLayout* layout : {&out_of_range, &duplicated}) {
+    EXPECT_THROW(allreduce_average(*layout, parts), Error);
+    EXPECT_THROW(
+        resilient_allreduce_average(*layout, parts, transport, monitor, rcfg),
+        Error);
+    EXPECT_THROW(resilient_reduce_scatter_average(*layout, parts, owned,
+                                                  transport, monitor, rcfg),
+                 Error);
+    const TransportStats& after = transport.stats();
+    EXPECT_EQ(after.collectives, before.collectives);
+    EXPECT_EQ(after.messages_sent, before.messages_sent);
+    EXPECT_EQ(after.bytes_sent, before.bytes_sent);
+    EXPECT_EQ(after.virtual_time_s, before.virtual_time_s);
+  }
 }
 
 TEST(GradientSet, StoreRoundTripAndBytes) {
