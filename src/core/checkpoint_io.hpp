@@ -1,26 +1,15 @@
-// On-demand checkpoint persistence: a small framed file format (magic +
-// version + payload size + FNV digest + per-tensor digest chain) around
-// the engine's checkpoint bytes, so crashes mid-write are detected on
-// load and the parameter content is independently attestable.
+// On-demand checkpoint persistence: the ESCK file around the engine's or
+// trainer's checkpoint bytes — magic, version, payload size and digest, a
+// per-tensor digest chain (v2) and a shard-layout frame (v3) — so crashes
+// mid-write are detected on load and the parameter content is
+// independently attestable.  docs/FAULT_TOLERANCE.md ("Frames") has the
+// byte layout of each version; common/frame holds the codec.
 //
-// Version history:
-//   1 — magic, version, size, digest, payload (PR 1)
-//   2 — adds a DigestChain section between the header and the payload:
-//       one record per model tensor, hash-linked, so flipping any byte of
-//       any stored digest (or truncating / extending the chain) fails the
-//       load.  Verified checkpoints (checkpoint_manager) re-derive the
-//       chain from the restored parameters and compare.
-//   3 — adds a ShardFrameMeta section between the chain and the payload:
-//       the parallelism-plan layout the checkpoint was taken under
-//       (world_size, shard_degree, the fixed chunk bounds over the
-//       flattened parameter space) plus a per-chunk digest chain over the
-//       CANONICAL parameter bytes.  Because chunk bounds are a pure
-//       function of (total_numel, num_chunks) — independent of
-//       shard_degree — the chunk chain of a run saved at degree N is
-//       byte-comparable to one saved at any other degree, which is how
-//       sharded round-trip tests prove cross-degree restores bitwise.
-//       v2 files (and the v2 writer overloads) are unchanged byte for
-//       byte.
+// The v3 shard frame records the parallelism-plan layout the checkpoint was
+// taken under plus a per-chunk digest chain over the CANONICAL parameter
+// bytes.  Chunk bounds are a pure function of (total_numel, num_chunks),
+// independent of shard_degree, so the chunk chain of a run saved at degree
+// N is byte-comparable to one saved at any other degree.
 #pragma once
 
 #include <cstdint>
@@ -49,36 +38,20 @@ struct ShardFrameMeta {
                          const ShardFrameMeta&) = default;
 };
 
-/// Write checkpoint bytes to `path` atomically (write temp + rename),
-/// with an empty digest chain.
-void save_checkpoint_file(const std::string& path,
-                          const std::vector<std::uint8_t>& bytes);
-
-/// Same, recording a per-tensor digest chain alongside the payload.
-void save_checkpoint_file(const std::string& path,
-                          const std::vector<std::uint8_t>& bytes,
-                          const DigestChain& chain);
-
-/// Same, additionally recording the shard-layout frame (writes version 3).
-void save_checkpoint_file(const std::string& path,
-                          const std::vector<std::uint8_t>& bytes,
-                          const DigestChain& chain,
-                          const ShardFrameMeta& shard);
+/// Write checkpoint bytes to `path` atomically (write temp + rename) with
+/// a per-tensor digest chain (empty by default).  A shard frame makes the
+/// file version 3; without one it is version 2.
+void save_checkpoint_file(
+    const std::string& path, const std::vector<std::uint8_t>& bytes,
+    const DigestChain& chain = {},
+    const std::optional<ShardFrameMeta>& shard = std::nullopt);
 
 /// Read and verify a checkpoint file; throws on corruption or truncation
-/// (payload digest mismatch, broken chain links, framing damage).
+/// (payload digest mismatch, broken chain links, framing damage).  The
+/// stored digest chain (empty for version 1) and shard frame (nullopt
+/// before version 3) come back through the optional out-pointers.
 [[nodiscard]] std::vector<std::uint8_t> load_checkpoint_file(
-    const std::string& path);
-
-/// Same, returning the stored digest chain through `chain_out` (empty for
-/// version-1 files, which predate the chain section).
-[[nodiscard]] std::vector<std::uint8_t> load_checkpoint_file(
-    const std::string& path, DigestChain* chain_out);
-
-/// Same, additionally returning the shard frame through `shard_out`
-/// (nullopt for pre-v3 files).
-[[nodiscard]] std::vector<std::uint8_t> load_checkpoint_file(
-    const std::string& path, DigestChain* chain_out,
-    std::optional<ShardFrameMeta>* shard_out);
+    const std::string& path, DigestChain* chain_out = nullptr,
+    std::optional<ShardFrameMeta>* shard_out = nullptr);
 
 }  // namespace easyscale::core

@@ -6,6 +6,7 @@
 
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/frame.hpp"
 #include "common/log.hpp"
 #include "core/checkpoint_io.hpp"
 
@@ -13,11 +14,8 @@ namespace easyscale::core {
 
 namespace {
 bool file_exists(const std::string& path) {
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    std::fclose(f);
-    return true;
-  }
-  return false;
+  std::error_code ec;
+  return std::filesystem::exists(path, ec);
 }
 
 /// Sidecar payload: the checkpoint payload digest as 16 hex chars.  Tying
@@ -31,22 +29,14 @@ std::string sidecar_payload(std::uint64_t digest) {
 }
 
 void write_sidecar(const std::string& path, std::uint64_t digest) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ES_CHECK(f != nullptr, "cannot write checkpoint sidecar " << path);
-  const std::string payload = sidecar_payload(digest);
-  const bool ok = std::fwrite(payload.data(), 1, payload.size(), f) ==
-                  payload.size();
-  std::fclose(f);
-  ES_CHECK(ok, "checkpoint sidecar write failed: " << path);
+  const std::string hex = sidecar_payload(digest);
+  frame::write_file(path, std::vector<std::uint8_t>(hex.begin(), hex.end()));
 }
 
 std::optional<std::string> read_sidecar(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  char buf[32];
-  const std::size_t n = std::fread(buf, 1, sizeof(buf), f);
-  std::fclose(f);
-  return std::string(buf, n);
+  if (!file_exists(path)) return std::nullopt;
+  const auto bytes = frame::read_file(path);
+  return std::string(bytes.begin(), bytes.end());
 }
 }  // namespace
 
@@ -70,13 +60,6 @@ void CheckpointManager::check_fence(std::int64_t writer_epoch,
              << ": " << what
              << " rejected (a deposed leader must not mutate state)");
   }
-}
-
-void CheckpointManager::save_fenced(std::int64_t writer_epoch,
-                                    const std::vector<std::uint8_t>& bytes) {
-  check_fence(writer_epoch, "checkpoint save");
-  raise_fence(writer_epoch);
-  save(bytes);
 }
 
 void CheckpointManager::save_fenced(std::int64_t writer_epoch,
@@ -106,10 +89,6 @@ std::string CheckpointManager::path_for(int generation) const {
 
 std::string CheckpointManager::sidecar_for(int generation) const {
   return path_for(generation) + ".ok";
-}
-
-void CheckpointManager::save(const std::vector<std::uint8_t>& bytes) {
-  save(bytes, DigestChain());
 }
 
 void CheckpointManager::save(const std::vector<std::uint8_t>& bytes,

@@ -54,10 +54,8 @@ class CheckpointManager {
   /// fence.  The replicated supervisor routes every blessing through
   /// these so a stale leader's checkpoint write is rejected, not applied.
   void save_fenced(std::int64_t writer_epoch,
-                   const std::vector<std::uint8_t>& bytes);
-  void save_fenced(std::int64_t writer_epoch,
                    const std::vector<std::uint8_t>& bytes,
-                   const DigestChain& chain);
+                   const DigestChain& chain = {});
 
   /// Fence-checked phase-2 bless of an epoch-addressed checkpoint.
   bool bless_epoch_fenced(std::int64_t writer_epoch, std::int64_t epoch);
@@ -121,12 +119,11 @@ class CheckpointManager {
 
   // --- Rotating generations (the original interface) --------------------
 
-  /// Persist a new generation (rotates older ones down, sidecars ride
-  /// along).  The new generation starts UNVERIFIED.
-  void save(const std::vector<std::uint8_t>& bytes);
-
-  /// Same, recording a per-tensor digest chain in the file.
-  void save(const std::vector<std::uint8_t>& bytes, const DigestChain& chain);
+  /// Persist a new generation with an optional per-tensor digest chain
+  /// (rotates older ones down, sidecars ride along).  The new generation
+  /// starts UNVERIFIED.
+  void save(const std::vector<std::uint8_t>& bytes,
+            const DigestChain& chain = {});
 
   /// Re-read generation `g` from disk, revalidate its framing and digest
   /// chain, and on success write the `.ok` sidecar marking it restorable

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/digest.hpp"
+#include "common/frame.hpp"
 #include "common/log.hpp"
 
 namespace easyscale::core {
@@ -491,8 +492,7 @@ std::vector<std::uint8_t> EasyScaleEngine::checkpoint() const {
 void EasyScaleEngine::restore(std::span<const std::uint8_t> bytes) {
   ES_CHECK(!workers_.empty(), "configure_workers before restore");
   ByteReader r(bytes);
-  ES_CHECK(r.read<std::uint32_t>() == kCheckpointMagic,
-           "not an EasyScale checkpoint");
+  frame::expect_magic(r, kCheckpointMagic, "EasyScale checkpoint");
   global_step_ = r.read<std::int64_t>();
   const bool has_layout = r.read<std::uint8_t>() != 0;
   if (has_layout) {
@@ -530,10 +530,7 @@ void EasyScaleEngine::restore(std::span<const std::uint8_t> bytes) {
     contexts_[static_cast<std::size_t>(e)] = ESTContext::load(r);
     pipelines_[static_cast<std::size_t>(e)].load(r);
   }
-  const auto pending_count = r.read<std::uint64_t>();
-  ES_CHECK(pending_count <= r.remaining(),
-           "pending work-item count " << pending_count
-                                      << " exceeds checkpoint payload");
+  const auto pending_count = frame::read_count(r, 1, "pending work items");
   std::vector<data::WorkItem> pending;
   pending.reserve(pending_count);
   for (std::uint64_t i = 0; i < pending_count; ++i) {

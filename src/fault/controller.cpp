@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/digest.hpp"
+#include "common/frame.hpp"
 #include "rng/philox.hpp"
 
 namespace easyscale::fault {
@@ -75,9 +76,9 @@ std::vector<std::uint8_t> DecisionRecord::serialize() const {
   w.write(arg2);
   w.write(payload_digest);
   w.write(chain);
-  // Whole-record digest trailer: any flipped byte above (or in the
-  // trailer itself) surfaces as a parse error, never a applied entry.
-  w.write(digest_bytes(w.bytes()));
+  // Sealed: any flipped byte above (or in the trailer itself) surfaces as
+  // a parse error, never an applied entry.
+  frame::seal(w);
   auto bytes = w.take();
   ES_CHECK(bytes.size() == kWireBytes,
            "decision record: serialized " << bytes.size() << " byte(s), want "
@@ -89,14 +90,9 @@ DecisionRecord DecisionRecord::parse(std::span<const std::uint8_t> bytes) {
   ES_CHECK(bytes.size() == kWireBytes,
            "decision record: wire size " << bytes.size() << " byte(s), want "
                                          << kWireBytes);
-  const std::uint64_t stored_digest =
-      digest_bytes(bytes.first(kWireBytes - sizeof(std::uint64_t)));
-  ByteReader r(bytes);
-  const auto magic = r.read<std::uint32_t>();
-  ES_CHECK(magic == kMagic, "decision record: bad magic " << magic);
-  const auto version = r.read<std::uint16_t>();
-  ES_CHECK(version == kVersion,
-           "decision record: unsupported version " << version);
+  ByteReader r(frame::unseal(bytes, "decision record"));
+  frame::expect_magic(r, kMagic, "decision record");
+  frame::expect_version(r, kVersion, kVersion, "decision record");
   const auto kind_raw = r.read<std::uint8_t>();
   ES_CHECK(kind_raw < static_cast<std::uint8_t>(DecisionKind::kNumKinds),
            "decision record: unknown kind " << static_cast<int>(kind_raw));
@@ -113,10 +109,7 @@ DecisionRecord DecisionRecord::parse(std::span<const std::uint8_t> bytes) {
   rec.arg2 = r.read<std::int64_t>();
   rec.payload_digest = r.read<std::uint64_t>();
   rec.chain = r.read<std::uint64_t>();
-  const auto trailer = r.read<std::uint64_t>();
   r.require_exhausted("decision record");
-  ES_CHECK(trailer == stored_digest,
-           "decision record: whole-record digest mismatch (corrupt wire)");
   ES_CHECK(rec.index >= 0 && rec.epoch >= 0 && rec.seq >= 0,
            "decision record: negative index/epoch/seq");
   ES_CHECK(rec.payload_digest == rec.content_digest(),
@@ -195,32 +188,20 @@ std::vector<std::uint8_t> DecisionLog::serialize() const {
   ByteWriter w;
   w.write(kMagic);
   w.write<std::uint64_t>(records_.size());
-  for (const auto& rec : records_) {
-    for (std::uint8_t b : rec.serialize()) w.write(b);
-  }
+  for (const auto& rec : records_) w.write_bytes(rec.serialize());
   w.write(tail());
   return w.take();
 }
 
 DecisionLog DecisionLog::parse(std::span<const std::uint8_t> bytes) {
-  struct RawRecord {
-    std::uint8_t bytes[DecisionRecord::kWireBytes];
-  };
   ByteReader r(bytes);
-  const auto magic = r.read<std::uint32_t>();
-  ES_CHECK(magic == kMagic, "decision log: bad magic " << magic);
-  const auto count = r.read<std::uint64_t>();
-  ES_CHECK(r.remaining() >= sizeof(std::uint64_t) &&
-               count <= (r.remaining() - sizeof(std::uint64_t)) /
-                            DecisionRecord::kWireBytes,
-           "decision log: truncated (claims " << count << " record(s), "
-                                              << r.remaining()
-                                              << " byte(s) left)");
+  frame::expect_magic(r, kMagic, "decision log");
+  const auto count =
+      frame::read_count(r, DecisionRecord::kWireBytes, "decision log",
+                        sizeof(std::uint64_t));
   DecisionLog log;
   for (std::uint64_t i = 0; i < count; ++i) {
-    const auto raw = r.read<RawRecord>();
-    log.append(DecisionRecord::parse(
-        std::span<const std::uint8_t>(raw.bytes, DecisionRecord::kWireBytes)));
+    log.append(DecisionRecord::parse(r.read_bytes(DecisionRecord::kWireBytes)));
   }
   const auto trailer = r.read<std::uint64_t>();
   ES_CHECK(trailer == log.tail(),

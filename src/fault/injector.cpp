@@ -1,11 +1,12 @@
 #include "fault/injector.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <filesystem>
 #include <sstream>
 
 #include "common/digest.hpp"
 #include "common/error.hpp"
+#include "common/frame.hpp"
 #include "fault/streams.hpp"
 #include "rng/philox.hpp"
 
@@ -235,23 +236,10 @@ void FaultInjector::tear_bytes(std::vector<std::uint8_t>& bytes,
 }
 
 bool FaultInjector::tear_file(const std::string& path, std::uint64_t seed) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) return false;
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(in);
+  if (!std::filesystem::exists(path)) return false;
+  std::vector<std::uint8_t> bytes = frame::read_file(path);
   tear_bytes(bytes, seed);
-  std::FILE* out = std::fopen(path.c_str(), "wb");
-  ES_CHECK(out != nullptr, "cannot rewrite torn checkpoint " << path);
-  if (!bytes.empty()) {
-    ES_CHECK(std::fwrite(bytes.data(), 1, bytes.size(), out) == bytes.size(),
-             "torn-checkpoint rewrite failed for " << path);
-  }
-  std::fclose(out);
+  frame::write_file(path, bytes);
   return true;
 }
 

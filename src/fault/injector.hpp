@@ -125,9 +125,9 @@ class FaultInjector {
   /// flips plus a tail truncation.  Used for torn-write simulation.
   static void tear_bytes(std::vector<std::uint8_t>& bytes, std::uint64_t seed);
 
-  /// Apply tear_bytes to a file on disk (raw rewrite, bypassing the framed
-  /// writer so the stored digest no longer matches).  No-op when the file
-  /// does not exist; returns whether it was torn.
+  /// Apply tear_bytes to a file on disk (a raw-bytes rewrite, bypassing
+  /// the checkpoint writer so the stored digest no longer matches).  No-op
+  /// when the file does not exist; returns whether it was torn.
   static bool tear_file(const std::string& path, std::uint64_t seed);
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/frame.hpp"
 #include "common/log.hpp"
 #include "common/serialize.hpp"
 #include "rng/philox.hpp"
@@ -14,18 +15,6 @@ constexpr std::uint32_t kPeerFrameMagic = 0x45535046;  // "ESPF"
 constexpr std::uint32_t kPeerFrameVersion = 1;
 }  // namespace
 
-DigestChain PeerFrame::slab_chain(std::span<const std::uint8_t> payload) {
-  DigestChain chain;
-  std::uint64_t slab = 0;
-  for (std::size_t off = 0; off < payload.size();
-       off += static_cast<std::size_t>(kSlabBytes)) {
-    const std::size_t len = std::min<std::size_t>(
-        static_cast<std::size_t>(kSlabBytes), payload.size() - off);
-    chain.push(slab++, digest_bytes(payload.subspan(off, len)));
-  }
-  return chain;
-}
-
 std::vector<std::uint8_t> PeerFrame::serialize() const {
   ByteWriter w;
   w.write<std::uint32_t>(kPeerFrameMagic);
@@ -34,46 +23,39 @@ std::vector<std::uint8_t> PeerFrame::serialize() const {
   w.write<std::int32_t>(owner);
   w.write<std::int32_t>(world);
   w.write<std::uint64_t>(digest_bytes(payload));
-  slab_chain(payload).save(w);
-  w.write_vector(payload);
-  // Whole-frame digest trailer: covers the header fields (epoch, owner,
-  // world) that the payload digest and slab chain cannot see, so parse()
-  // rejects a flip of ANY byte on the wire.
-  w.write<std::uint64_t>(digest_bytes(w.bytes()));
+  frame::slab_chain(payload).save(w);
+  frame::write_section(w, payload);
+  // Sealed: the trailer covers the header fields (epoch, owner, world) that
+  // the payload digest and slab chain cannot see, so parse() rejects a flip
+  // of ANY byte on the wire.
+  frame::seal(w);
   return w.take();
 }
 
 PeerFrame PeerFrame::parse(const std::vector<std::uint8_t>& bytes) {
-  ByteReader r(bytes);
-  ES_CHECK(r.read<std::uint32_t>() == kPeerFrameMagic,
-           "peer frame magic mismatch (torn or foreign bytes)");
-  ES_CHECK(r.read<std::uint32_t>() == kPeerFrameVersion,
-           "unsupported peer frame version");
-  PeerFrame frame;
-  frame.epoch = r.read<std::int64_t>();
-  frame.owner = r.read<std::int32_t>();
-  frame.world = r.read<std::int32_t>();
-  ES_CHECK(frame.owner >= 0 && frame.world > 0 && frame.owner < frame.world,
+  ByteReader r(frame::unseal(bytes, "peer frame"));
+  frame::expect_magic(r, kPeerFrameMagic, "peer frame");
+  frame::expect_version(r, kPeerFrameVersion, kPeerFrameVersion, "peer frame");
+  PeerFrame out;
+  out.epoch = r.read<std::int64_t>();
+  out.owner = r.read<std::int32_t>();
+  out.world = r.read<std::int32_t>();
+  ES_CHECK(out.owner >= 0 && out.world > 0 && out.owner < out.world,
            "peer frame owner/world out of range");
   const auto stored_digest = r.read<std::uint64_t>();
-  // DigestChain::load re-verifies every hash link; a flipped byte inside
-  // the chain section dies here.
+  // DigestChain::load re-verifies every hash link.
   const DigestChain stored_chain = DigestChain::load(r);
-  frame.payload = r.read_vector<std::uint8_t>();
-  const auto frame_digest = r.read<std::uint64_t>();
+  const auto payload = frame::read_section(r, "peer frame");
   r.require_exhausted("peer frame");
-  ES_CHECK(digest_bytes(std::span<const std::uint8_t>(
-               bytes.data(), bytes.size() - sizeof(std::uint64_t))) ==
-               frame_digest,
-           "peer frame digest mismatch (torn frame)");
-  ES_CHECK(digest_bytes(frame.payload) == stored_digest,
+  out.payload.assign(payload.begin(), payload.end());
+  ES_CHECK(digest_bytes(out.payload) == stored_digest,
            "peer frame payload digest mismatch (torn frame)");
   // Recompute the slab chain: catches a payload edit that a colliding
   // whole-payload digest could in principle slip past, and pins slab
   // boundaries exactly like the per-tensor chains of disk checkpoints.
-  ES_CHECK(slab_chain(frame.payload) == stored_chain,
+  ES_CHECK(frame::slab_chain(out.payload) == stored_chain,
            "peer frame slab chain mismatch (torn frame)");
-  return frame;
+  return out;
 }
 
 std::vector<int> choose_peers(int owner, int world, int replicas,

@@ -17,10 +17,9 @@
 //    into frames and replication happen afterwards, logically overlapped
 //    with the next step's compute.
 //
-//  - PeerFrame: one rank's contiguous slice of a staged snapshot, framed
-//    exactly like the on-disk checkpoint files — magic, version, a
-//    per-slab DigestChain and a whole-payload digest — so a torn or
-//    bit-flipped frame is rejected at parse, whatever byte broke.
+//  - PeerFrame: one rank's contiguous slice of a staged snapshot, sealed
+//    by the frame codec (layout in docs/FAULT_TOLERANCE.md, "Frames"), so
+//    a torn or bit-flipped frame is rejected at parse, whatever byte broke.
 //
 //  - choose_peers: deterministic replica placement.  Peers are taken in
 //    ring order after the owner, skipping ranks on the owner's node (a node
@@ -66,28 +65,18 @@ struct PeerCheckpointConfig {
   comm::PeerTransferConfig transfer;
 };
 
-/// One rank's slice of a snapshot, with the same framing discipline as the
-/// on-disk checkpoint files: any single damaged byte fails the parse.
+/// One rank's slice of a snapshot, framed so that any single damaged byte
+/// fails the parse (docs/FAULT_TOLERANCE.md, "Frames").
 struct PeerFrame {
   std::int64_t epoch = 0;
   int owner = 0;
   int world = 0;
   std::vector<std::uint8_t> payload;
 
-  /// Fixed-width slabs the payload is digest-chained over (mirrors the
-  /// per-tensor chain of disk frames; slabs because a frame is opaque
-  /// bytes here).
-  static constexpr std::int64_t kSlabBytes = 4096;
-
-  [[nodiscard]] static DigestChain slab_chain(
-      std::span<const std::uint8_t> payload);
-
-  /// Serialize with magic/version framing, the slab DigestChain and a
-  /// whole-payload digest.
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
 
-  /// Parse + verify framing, chain links, slab digests and payload digest.
-  /// Throws Error on ANY inconsistency — a torn frame cannot parse.
+  /// Parse + verify trailer, framing, chain links, slab digests and payload
+  /// digest.  Throws Error on ANY inconsistency — a torn frame cannot parse.
   [[nodiscard]] static PeerFrame parse(
       const std::vector<std::uint8_t>& bytes);
 };

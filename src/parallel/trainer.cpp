@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/digest.hpp"
+#include "common/frame.hpp"
 #include "core/checkpoint_io.hpp"
 #include "core/integrity.hpp"
 
@@ -477,11 +478,11 @@ std::vector<std::uint8_t> Trainer::checkpoint_bytes() {
   ByteWriter w;
   chain.save(w);
   meta.save(w);
-  w.write_vector(payload);
-  // Whole-image digest trailer: the chunk chain only attests parameters,
-  // so flips inside optimizer/scheduler/RNG/loss sections need this to be
-  // rejected at restore time.
-  w.write<std::uint64_t>(digest_bytes(w.bytes()));
+  frame::write_section(w, payload);
+  // Sealed: the chunk chain only attests parameters, so flips inside
+  // optimizer/scheduler/RNG/loss sections need the trailer to be rejected
+  // at restore time.
+  frame::seal(w);
   return w.take();
 }
 
@@ -497,20 +498,15 @@ void Trainer::restore_checkpoint(const std::string& path) {
 }
 
 void Trainer::restore_checkpoint_bytes(const std::vector<std::uint8_t>& bytes) {
-  ByteReader r(bytes);
-  const DigestChain chain = DigestChain::load(r);  // verifies every link
+  ByteReader r(frame::unseal(bytes, "trainer snapshot image"));
+  (void)DigestChain::load(r);  // verifies every link
   const core::ShardFrameMeta meta = core::ShardFrameMeta::load(r);
-  const auto payload = r.read_vector<std::uint8_t>();
-  const auto image_digest = r.read<std::uint64_t>();
+  const auto payload = frame::read_section(r, "trainer snapshot image");
   r.require_exhausted("trainer snapshot image");
-  ES_CHECK(digest_bytes(std::span<const std::uint8_t>(
-               bytes.data(), bytes.size() - sizeof(std::uint64_t))) ==
-               image_digest,
-           "trainer snapshot image digest mismatch (torn snapshot)");
   apply_checkpoint_image(payload, meta, "peer snapshot");
 }
 
-void Trainer::apply_checkpoint_image(const std::vector<std::uint8_t>& bytes,
+void Trainer::apply_checkpoint_image(std::span<const std::uint8_t> bytes,
                                      const core::ShardFrameMeta& meta,
                                      const std::string& what) {
   ES_CHECK(meta.world_size == config_.world_size,

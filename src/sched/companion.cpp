@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/frame.hpp"
 #include "models/profile.hpp"
 
 namespace easyscale::sched {
@@ -71,13 +72,14 @@ void PlanCache::save(ByteWriter& w) const {
 }
 
 std::size_t PlanCache::load(ByteReader& r) {
-  const auto version = r.read<std::uint32_t>();
-  if (version != kFormatVersion) {
+  if (!frame::read_version(r, kFormatVersion, kFormatVersion)) {
     // Stale image: v1 keys lack shard_degree, so a v1 entry could answer a
     // lookup for the wrong degree.  Bypass everything; callers recompute.
     return 0;
   }
-  const auto count = r.read<std::uint64_t>();
+  // Every entry starts with its key's u64 length.
+  const auto count =
+      frame::read_count(r, sizeof(std::uint64_t), "plan cache image");
   std::size_t restored = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     std::string k = r.read_string();
