@@ -158,6 +158,40 @@ TEST(CheckpointManager, FallsBackPastCorruptNewest) {
   mgr.clear();
 }
 
+/// Overwrite one byte of the file at `offset`.
+void poke(const std::string& path, std::streamoff offset, char value) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(offset);
+  f.write(&value, 1);
+}
+
+// The payload-size field (header bytes 8..15) must be bounded by the file
+// before anything is allocated for it: a flipped high byte claims hundreds
+// of terabytes, which surfaces as a structured Error, never bad_alloc.
+TEST(CheckpointIO, SizeFieldLargerThanFileIsStructuredError) {
+  const auto path = temp_path("size_field.ckpt");
+  for (const std::streamoff offset : {13, 14, 15}) {
+    save_checkpoint_file(path, std::vector<std::uint8_t>(300, 7));
+    poke(path, offset, static_cast<char>(0x7F));
+    EXPECT_THROW((void)load_checkpoint_file(path), Error)
+        << "size-field byte " << offset;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointManager, CorruptSizeFieldFallsBackToOlderGeneration) {
+  CheckpointManager mgr(temp_path("size_fb"), 3);
+  mgr.clear();
+  mgr.save({10, 11});
+  mgr.save({20, 21});
+  poke(mgr.path_for(0), 15, static_cast<char>(0x7F));
+  const auto bytes = mgr.load_latest_valid();
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_EQ(*bytes, (std::vector<std::uint8_t>{10, 11}))
+      << "must walk back to generation 1";
+  mgr.clear();
+}
+
 TEST(CheckpointManager, TornDigestFallsBackAndKeepsBothGenerations) {
   // Torn-write model: the crash mangles the newest generation's stored
   // digest (header bytes 16..23: magic(4) + version(4) + size(8) precede
