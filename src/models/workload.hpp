@@ -1,6 +1,6 @@
 // The workload interface every Table-1 model implements.
 //
-// A Workload owns its parameters and layers; trainers (ddp/, core/) drive
+// A Workload owns its parameters and layers; trainers (core/, parallel/) drive
 // it through train_step (forward + loss + backward, gradients accumulated
 // into the ParameterStore) and predict (argmax labels for accuracy
 // reporting).  The paper's porting claim ("a few lines of code changing")

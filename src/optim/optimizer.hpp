@@ -1,4 +1,4 @@
-// Optimizer interface + configuration.  Trainers (ddp/, core/, parallel/)
+// Optimizer interface + configuration.  Trainers (core/, parallel/)
 // are optimizer-agnostic: the config names the algorithm, and state
 // serialization flows through the common interface so checkpoints work for
 // any optimizer.

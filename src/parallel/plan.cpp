@@ -27,7 +27,6 @@ std::vector<ChunkBounds> partition_chunks(std::int64_t total_numel,
 void Plan::save(ByteWriter& w) const {
   w.write(world_size);
   w.write(shard_degree);
-  w.write(pipeline_stages);
   w.write(total_numel);
   w.write<std::uint64_t>(chunks.size());
   for (const auto& c : chunks) {
@@ -40,7 +39,6 @@ Plan Plan::load(ByteReader& r) {
   Plan plan;
   plan.world_size = r.read<int>();
   plan.shard_degree = r.read<int>();
-  plan.pipeline_stages = r.read<int>();
   plan.total_numel = r.read<std::int64_t>();
   const auto n = r.read<std::uint64_t>();
   plan.chunks.reserve(n);
@@ -68,7 +66,6 @@ Plan make_plan(int world_size, int shard_degree,
   Plan plan;
   plan.world_size = world_size;
   plan.shard_degree = shard_degree;
-  plan.pipeline_stages = 1;
   plan.total_numel = params.total_numel();
   plan.chunks = partition_chunks(plan.total_numel, num_chunks);
   return plan;

@@ -1,8 +1,7 @@
 // The parallelism plan: how a world of ranks factors into parallel
 // dimensions, and how optimizer state is partitioned across them.
 //
-//   world_size = data_replicas × shard_degree        (pipeline_stages == 1,
-//                                                     reserved scaffold)
+//   world_size = data_replicas × shard_degree
 //
 // Ranks interleave across shard indices — shard_index(r) = r % shard_degree
 // — so each group of shard_degree consecutive ranks forms one complete
@@ -51,7 +50,6 @@ inline constexpr int kDefaultPlanChunks = 16;
 struct Plan {
   int world_size = 1;
   int shard_degree = 1;
-  int pipeline_stages = 1;  // scaffold dimension: must be 1 today
   std::int64_t total_numel = 0;
   std::vector<ChunkBounds> chunks;
 

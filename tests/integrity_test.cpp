@@ -15,7 +15,7 @@
 #include "core/checkpoint_manager.hpp"
 #include "core/engine.hpp"
 #include "core/integrity.hpp"
-#include "ddp/trainer.hpp"
+#include "parallel/trainer.hpp"
 #include "fault/injector.hpp"
 #include "fault/integrity.hpp"
 #include "fault/streams.hpp"
@@ -350,8 +350,8 @@ TEST(CheckpointManagerVerify, TamperedGenerationLosesVerification) {
 // ---------------------------------------------------------------------------
 // DDP cross-replica gradient-digest voting.
 
-ddp::DDPConfig ddp_config(std::int64_t world, std::int64_t logical) {
-  ddp::DDPConfig cfg;
+parallel::TrainerConfig ddp_config(std::int64_t world, std::int64_t logical) {
+  parallel::TrainerConfig cfg;
   cfg.workload = "NeuMF";
   cfg.world_size = world;
   cfg.batch_per_worker = 4;
@@ -362,11 +362,11 @@ ddp::DDPConfig ddp_config(std::int64_t world, std::int64_t logical) {
 
 TEST(DDPVote, RedundantGroupsMatchPlainDDPBitwise) {
   auto& wd = shared_data();
-  ddp::DDPTrainer voted(ddp_config(4, 2), *wd.train, wd.augment);
+  parallel::Trainer voted(ddp_config(4, 2), *wd.train, wd.augment);
   voted.run_steps(3);
   // Physical ranks {0,2} replay logical 0 and {1,3} logical 1; the
   // published reduction must equal a clean 2-rank DDP run bit for bit.
-  ddp::DDPTrainer plain(ddp_config(2, 0), *wd.train, wd.augment);
+  parallel::Trainer plain(ddp_config(2, 0), *wd.train, wd.augment);
   plain.run_steps(3);
   EXPECT_EQ(voted.params_digest(), plain.params_digest());
 
@@ -378,7 +378,7 @@ TEST(DDPVote, RedundantGroupsMatchPlainDDPBitwise) {
 
 TEST(DDPVote, CorruptRankLosesTheVote) {
   auto& wd = shared_data();
-  ddp::DDPTrainer trainer(ddp_config(3, 1), *wd.train, wd.augment);
+  parallel::Trainer trainer(ddp_config(3, 1), *wd.train, wd.augment);
   SdcProfile profile;
   profile.seed = 0xE51;  // arbitrary nonzero pattern seed
   SdcCorruptor corr(profile);
@@ -396,7 +396,7 @@ TEST(DDPVote, CorruptRankLosesTheVote) {
 
 TEST(DDPVote, TwoWaySplitDetectsWithoutAttribution) {
   auto& wd = shared_data();
-  ddp::DDPTrainer trainer(ddp_config(2, 1), *wd.train, wd.augment);
+  parallel::Trainer trainer(ddp_config(2, 1), *wd.train, wd.augment);
   SdcProfile profile;
   profile.seed = 0x5117;
   SdcCorruptor corr(profile);
@@ -412,14 +412,14 @@ TEST(DDPVote, DigestExchangeRidesTheCheckedTransport) {
   auto& wd = shared_data();
   auto cfg = ddp_config(4, 2);
   cfg.resilient_comm = true;
-  ddp::DDPTrainer voted(cfg, *wd.train, wd.augment);
+  parallel::Trainer voted(cfg, *wd.train, wd.augment);
   voted.run_steps(2);
   const auto& report = voted.last_vote_report();
   ASSERT_TRUE(report.has_value());
   EXPECT_TRUE(report->corrupt_ranks.empty());
   EXPECT_GT(report->digest_bytes_exchanged, 0);
   // Shipping digests over the fabric must not change what gets published.
-  ddp::DDPTrainer plain(ddp_config(2, 0), *wd.train, wd.augment);
+  parallel::Trainer plain(ddp_config(2, 0), *wd.train, wd.augment);
   plain.run_steps(2);
   EXPECT_EQ(voted.params_digest(), plain.params_digest());
 }
