@@ -57,8 +57,12 @@ constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 constexpr float kGeluA = 0.044715f;
 }  // namespace
 
+// The forward caches t = tanh(u): the backward needs tanh of the same
+// float expression on the same input, so reading the cache gives it the
+// same bits without a second libm call.
 Tensor GELU::forward(StepContext& ctx, const Tensor& x) {
   cached_input_ = x;
+  cached_tanh_ = Tensor(x.shape());
   Tensor out(x.shape());
   kernels::parallel_for(ctx.ex(), x.numel(), kTranscendentalGrain,
                         [&](int /*chunk*/, std::int64_t i0, std::int64_t i1) {
@@ -66,6 +70,7 @@ Tensor GELU::forward(StepContext& ctx, const Tensor& x) {
                             const float v = x.at(i);
                             const float t =
                                 std::tanh(kGeluC * (v + kGeluA * v * v * v));
+                            cached_tanh_.at(i) = t;
                             out.at(i) = 0.5f * v * (1.0f + t);
                           }
                         });
@@ -79,8 +84,7 @@ Tensor GELU::backward(StepContext& ctx, const Tensor& grad_out) {
       [&](int /*chunk*/, std::int64_t i0, std::int64_t i1) {
         for (std::int64_t i = i0; i < i1; ++i) {
           const float v = cached_input_.at(i);
-          const float u = kGeluC * (v + kGeluA * v * v * v);
-          const float t = std::tanh(u);
+          const float t = cached_tanh_.at(i);
           const float du = kGeluC * (1.0f + 3.0f * kGeluA * v * v);
           const float d = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
           grad_in.at(i) = grad_out.at(i) * d;

@@ -24,6 +24,7 @@ class GELU : public Layer {
 
  private:
   Tensor cached_input_;
+  Tensor cached_tanh_;  // tanh(sqrt(2/pi) * (x + 0.044715 x^3)) per element
 };
 
 class Sigmoid : public Layer {

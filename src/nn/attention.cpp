@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "kernels/simd.hpp"
 #include "tensor/ops.hpp"
 
 namespace easyscale::nn {
@@ -35,66 +36,113 @@ void MultiheadSelfAttention::init_weights(rng::Philox& init) {
   wo_.init_weights(init);
 }
 
+namespace {
+
+/// c_row[j] = sum over kk of a_row[kk] * b[kk * ldb + j], for j in [0, n):
+/// one +0-started accumulator per output, kk ascending.  That is
+/// GemmVariant::kSequential, whose vector panel replays the same chain per
+/// lane, so both bodies store the same bits.
+void row_panel(const kernels::SimdOps& ops, const float* a_row,
+               const float* b, std::int64_t k, std::int64_t ldb,
+               std::int64_t n, float* c_row) {
+  if (ops.gemm_panel != nullptr) {
+    ops.gemm_panel(kernels::GemmVariant::kSequential, a_row, b, k, ldb, 0, n,
+                   c_row, /*accumulate=*/false);
+    return;
+  }
+  for (std::int64_t j = 0; j < n; ++j) {
+    float acc = 0.0f;
+    for (std::int64_t kk = 0; kk < k; ++kk) acc += a_row[kk] * b[kk * ldb + j];
+    c_row[j] = acc;
+  }
+}
+
+/// C[m, n] = A[m, k] * B[k, n], one row panel per row of C; lda, ldb and
+/// ldc are row strides, so head slices are read and written in place.
+void panel_product(const kernels::SimdOps& ops, const float* a,
+                   std::int64_t lda, std::int64_t m, std::int64_t k,
+                   const float* b, std::int64_t ldb, std::int64_t n, float* c,
+                   std::int64_t ldc) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    row_panel(ops, a + i * lda, b, k, ldb, n, c + i * ldc);
+  }
+}
+
+/// dst[c * rows + r] = src[r * lds + c]: the transpose of a [rows, cols]
+/// block, packed dense.  Pure data movement.
+void pack_transpose(const float* src, std::int64_t lds, std::int64_t rows,
+                    std::int64_t cols, float* dst) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      dst[c * rows + r] = src[r * lds + c];
+    }
+  }
+}
+
+/// Scaled softmax of one score row in place.  The max starts from the
+/// row's own first score, so a row whose scores all lie below any fixed
+/// floor still has one exp(0) = 1 term.  exp and the denominator stay
+/// scalar (libm order); only the divide is lanewise.
+void softmax_row(const kernels::SimdOps& ops, float* row, std::int64_t t,
+                 float scale) {
+  for (std::int64_t j = 0; j < t; ++j) row[j] = row[j] * scale;
+  float row_max = row[0];
+  for (std::int64_t j = 1; j < t; ++j) row_max = std::max(row_max, row[j]);
+  float denom = 0.0f;
+  for (std::int64_t j = 0; j < t; ++j) {
+    row[j] = std::exp(row[j] - row_max);
+    denom += row[j];
+  }
+  if (ops.div_scalar != nullptr) {
+    ops.div_scalar(row, denom, t);
+  } else {
+    for (std::int64_t j = 0; j < t; ++j) row[j] /= denom;
+  }
+}
+
+/// Chunk grain: about 16K multiply-adds per chunk.
+std::int64_t plane_grain(std::int64_t t, std::int64_t head_dim) {
+  return std::max<std::int64_t>(
+      1, 16384 / std::max<std::int64_t>(1, t * t * head_dim));
+}
+
+}  // namespace
+
+// Each (sample, head) plane is a handful of row-panel products over its
+// head-offset column slice; planes write disjoint memory, so the work is
+// owner-computes over n*heads and the thread count cannot change bits.
 Tensor MultiheadSelfAttention::forward(StepContext& ctx, const Tensor& x) {
   ES_CHECK(x.shape().rank() == 3 && x.shape().dim(2) == dim_,
            "attention expects [N, T, D]");
   const std::int64_t n = x.shape().dim(0), t = x.shape().dim(1);
+  const std::int64_t hd = head_dim_;
   cached_in_shape_ = x.shape();
   const Tensor flat = x.reshaped(Shape{n * t, dim_});
   cached_q_ = wq_.forward(ctx, flat);
   cached_k_ = wk_.forward(ctx, flat);
   cached_v_ = wv_.forward(ctx, flat);
-  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(head_dim_));
+  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
 
   cached_probs_ = Tensor(Shape{n, heads_, t, t});
   Tensor ctx_out(Shape{n * t, dim_});
-  // Each (sample, head) pair writes only its own probs plane and its own
-  // head-offset column slice of ctx_out — owner-computes over n*heads.
   const kernels::SimdOps& ops = ctx.ex().simd_ops();
   kernels::parallel_for(
-      ctx.ex(), n * heads_,
-      std::max<std::int64_t>(
-          1, 16384 / std::max<std::int64_t>(1, t * t * head_dim_)),
+      ctx.ex(), n * heads_, plane_grain(t, hd),
       [&](int /*chunk*/, std::int64_t p0, std::int64_t p1) {
+        std::vector<float> k_t(static_cast<std::size_t>(hd * t));
         for (std::int64_t p = p0; p < p1; ++p) {
-          const std::int64_t s = p / heads_;
-          const std::int64_t h = p % heads_;
-          const std::int64_t off = h * head_dim_;
-          float* probs = cached_probs_.raw() + ((s * heads_ + h) * t * t);
+          const std::int64_t base = (p / heads_) * t * dim_ + (p % heads_) * hd;
+          float* probs = cached_probs_.raw() + p * t * t;
+          // S = Q_h K_h^T, then the scaled softmax row by row.
+          pack_transpose(cached_k_.raw() + base, dim_, t, hd, k_t.data());
+          panel_product(ops, cached_q_.raw() + base, dim_, t, hd, k_t.data(),
+                        t, t, probs, t);
           for (std::int64_t i = 0; i < t; ++i) {
-            const float* qi = cached_q_.raw() + (s * t + i) * dim_ + off;
-            float row_max = -1e30f;
-            float* prow = probs + i * t;
-            for (std::int64_t j = 0; j < t; ++j) {
-              const float* kj = cached_k_.raw() + (s * t + j) * dim_ + off;
-              float acc = 0.0f;
-              for (std::int64_t d = 0; d < head_dim_; ++d) {
-                acc += qi[d] * kj[d];
-              }
-              prow[j] = acc * inv_sqrt;
-              row_max = std::max(row_max, prow[j]);
-            }
-            float denom = 0.0f;
-            for (std::int64_t j = 0; j < t; ++j) {
-              prow[j] = std::exp(prow[j] - row_max);
-              denom += prow[j];
-            }
-            // Lanewise divide by the scalar denom — exp and the denom
-            // reduction above stay scalar (libm order preserved).
-            if (ops.div_scalar != nullptr) {
-              ops.div_scalar(prow, denom, t);
-            } else {
-              for (std::int64_t j = 0; j < t; ++j) prow[j] /= denom;
-            }
-            float* out_i = ctx_out.raw() + (s * t + i) * dim_ + off;
-            for (std::int64_t d = 0; d < head_dim_; ++d) {
-              float acc = 0.0f;
-              for (std::int64_t j = 0; j < t; ++j) {
-                acc += prow[j] * cached_v_.at((s * t + j) * dim_ + off + d);
-              }
-              out_i[d] = acc;
-            }
+            softmax_row(ops, probs + i * t, t, inv_sqrt);
           }
+          // ctx_h = P V_h, V read in place.
+          panel_product(ops, probs, t, t, t, cached_v_.raw() + base, dim_, hd,
+                        ctx_out.raw() + base, dim_);
         }
       });
   Tensor out = wo_.forward(ctx, ctx_out);
@@ -104,59 +152,48 @@ Tensor MultiheadSelfAttention::forward(StepContext& ctx, const Tensor& x) {
 Tensor MultiheadSelfAttention::backward(StepContext& ctx,
                                         const Tensor& grad_out) {
   const std::int64_t n = cached_in_shape_.dim(0), t = cached_in_shape_.dim(1);
-  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(head_dim_));
+  const std::int64_t hd = head_dim_;
+  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
   const Tensor g_flat = grad_out.reshaped(Shape{n * t, dim_});
   const Tensor d_ctx = wo_.backward(ctx, g_flat);
 
   Tensor dq(Shape{n * t, dim_}), dk(Shape{n * t, dim_}), dv(Shape{n * t, dim_});
-  // dq/dk/dv writes for a (sample, head) pair stay inside that pair's
-  // head-offset column slice, and within a slice the accumulation order is
-  // i-ascending exactly as the sequential loop — owner-computes over
-  // n*heads with a chunk-local dprobs buffer.
+  const kernels::SimdOps& ops = ctx.ex().simd_ops();
   kernels::parallel_for(
-      ctx.ex(), n * heads_,
-      std::max<std::int64_t>(
-          1, 16384 / std::max<std::int64_t>(1, t * t * head_dim_)),
+      ctx.ex(), n * heads_, plane_grain(t, hd),
       [&](int /*chunk*/, std::int64_t p0, std::int64_t p1) {
-        std::vector<float> dprobs(static_cast<std::size_t>(t));
+        // `packed` holds V_h^T, then P^T, then dS^T; `ds` holds dP, then dS.
+        std::vector<float> packed(
+            static_cast<std::size_t>(std::max(hd, t) * t));
+        std::vector<float> ds(static_cast<std::size_t>(t * t));
         for (std::int64_t p = p0; p < p1; ++p) {
-          const std::int64_t s = p / heads_;
-          const std::int64_t h = p % heads_;
-          const std::int64_t off = h * head_dim_;
-          const float* probs = cached_probs_.raw() + ((s * heads_ + h) * t * t);
+          const std::int64_t base = (p / heads_) * t * dim_ + (p % heads_) * hd;
+          const float* probs = cached_probs_.raw() + p * t * t;
+          const float* dc = d_ctx.raw() + base;
+          // dP = dC_h V_h^T
+          pack_transpose(cached_v_.raw() + base, dim_, t, hd, packed.data());
+          panel_product(ops, dc, dim_, t, hd, packed.data(), t, t, ds.data(),
+                        t);
+          // dV_h = P^T dC_h
+          pack_transpose(probs, t, t, t, packed.data());
+          panel_product(ops, packed.data(), t, t, t, dc, dim_, hd,
+                        dv.raw() + base, dim_);
+          // Softmax backward in place: dS = P * (dP - rowdot(P, dP)) * scale
           for (std::int64_t i = 0; i < t; ++i) {
             const float* prow = probs + i * t;
-            const float* dci = d_ctx.raw() + (s * t + i) * dim_ + off;
-            // dprobs_ij = <d_ctx_i, v_j>, dv_j += p_ij * d_ctx_i
-            for (std::int64_t j = 0; j < t; ++j) {
-              const float* vj = cached_v_.raw() + (s * t + j) * dim_ + off;
-              float* dvj = dv.raw() + (s * t + j) * dim_ + off;
-              float acc = 0.0f;
-              for (std::int64_t d = 0; d < head_dim_; ++d) {
-                acc += dci[d] * vj[d];
-                dvj[d] += prow[j] * dci[d];
-              }
-              dprobs[static_cast<std::size_t>(j)] = acc;
-            }
-            // softmax backward
+            float* drow = ds.data() + i * t;
             float dot = 0.0f;
+            for (std::int64_t j = 0; j < t; ++j) dot += prow[j] * drow[j];
             for (std::int64_t j = 0; j < t; ++j) {
-              dot += prow[j] * dprobs[static_cast<std::size_t>(j)];
-            }
-            float* dqi = dq.raw() + (s * t + i) * dim_ + off;
-            for (std::int64_t j = 0; j < t; ++j) {
-              const float ds = prow[j] *
-                               (dprobs[static_cast<std::size_t>(j)] - dot) *
-                               inv_sqrt;
-              const float* kj = cached_k_.raw() + (s * t + j) * dim_ + off;
-              const float* qi = cached_q_.raw() + (s * t + i) * dim_ + off;
-              float* dkj = dk.raw() + (s * t + j) * dim_ + off;
-              for (std::int64_t d = 0; d < head_dim_; ++d) {
-                dqi[d] += ds * kj[d];
-                dkj[d] += ds * qi[d];
-              }
+              drow[j] = prow[j] * (drow[j] - dot) * inv_sqrt;
             }
           }
+          // dQ_h = dS K_h and dK_h = dS^T Q_h
+          panel_product(ops, ds.data(), t, t, t, cached_k_.raw() + base, dim_,
+                        hd, dq.raw() + base, dim_);
+          pack_transpose(ds.data(), t, t, t, packed.data());
+          panel_product(ops, packed.data(), t, t, t, cached_q_.raw() + base,
+                        dim_, hd, dk.raw() + base, dim_);
         }
       });
   // Backward through the projections; all three saw the same input.

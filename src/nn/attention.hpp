@@ -1,7 +1,10 @@
 // Multi-head self-attention over [N, T, D] inputs (BERT / Electra / Swin
-// mini models).  Attention lowers entirely to GEMM + softmax, both of which
-// have cheap hardware-agnostic variants — which is why the paper's
-// attention-based workloads show ~0 D2 overhead (Fig 12).
+// mini models).  The four projections are Linear layers on the GEMM entry
+// point; per (sample, head) the score, context and gradient products are
+// row panels of the sequential GEMM variant (SimdOps::gemm_panel), the
+// same order on every device, plus a scalar softmax.  Nothing here needs a
+// slow canonical kernel, which is why the paper's attention-based
+// workloads show ~0 D2 overhead (Fig 12).
 #pragma once
 
 #include "nn/linear.hpp"

@@ -75,7 +75,9 @@ Tensor LayerNorm::backward(StepContext& ctx, const Tensor& grad_out) {
   Tensor grad_in(cached_shape_);
   // Two owner-computes passes: grad_in rows are independent; gamma/beta
   // gradients accumulate per column in ascending-row order, exactly as the
-  // single sequential loop did.
+  // single sequential loop did.  The second pass walks rows outer and its
+  // chunk's columns inner, so it streams contiguous memory; each column
+  // still sees its terms r-ascending, so the order of every sum is kept.
   kernels::parallel_for(
       ctx.ex(), rows,
       std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(1, dim_)),
@@ -101,11 +103,14 @@ Tensor LayerNorm::backward(StepContext& ctx, const Tensor& grad_out) {
       ctx.ex(), dim_,
       std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(1, rows)),
       [&](int /*chunk*/, std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          for (std::int64_t r = 0; r < rows; ++r) {
-            const float xh = cached_xhat_.at(r * dim_ + i);
-            gamma_.grad.at(i) += grad_out.at(r * dim_ + i) * xh;
-            beta_.grad.at(i) += grad_out.at(r * dim_ + i);
+        float* dgamma = gamma_.grad.raw();
+        float* dbeta = beta_.grad.raw();
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const float* go = grad_out.raw() + r * dim_;
+          const float* xh = cached_xhat_.raw() + r * dim_;
+          for (std::int64_t i = i0; i < i1; ++i) {
+            dgamma[i] += go[i] * xh[i];
+            dbeta[i] += go[i];
           }
         }
       });

@@ -52,6 +52,34 @@ TEST(EdgeAttention, SingleHeadSingleToken) {
   EXPECT_EQ(grad.shape(), x.shape());
 }
 
+TEST(EdgeAttention, VeryNegativeScoresStayFinite) {
+  // Scaling the input by 1e17 drives this token's only score far below
+  // -1e30.  A softmax max that starts at a fixed floor then underflows
+  // every exp to 0 and the row becomes 0/0.  One token's weight is
+  // exactly 1, so the output must be Wo(Wv(x)) bit for bit.
+  Env env;
+  rng::Philox gen(1);
+  nn::MultiheadSelfAttention attn("a", 4, 1);
+  attn.init_weights(gen);
+  auto x = random_tensor(gen, tensor::Shape{1, 1, 4});
+  for (std::int64_t i = 0; i < x.numel(); ++i) x.at(i) *= 1e17f;
+  const auto out = attn.forward(env.ctx, x);
+  rng::Philox replay(1);  // same draws, same order as attn.init_weights
+  nn::Linear wq("a.q", 4, 4), wk("a.k", 4, 4), wv("a.v", 4, 4),
+      wo("a.o", 4, 4);
+  for (nn::Linear* l : {&wq, &wk, &wv, &wo}) l->init_weights(replay);
+  const auto flat = x.reshaped(tensor::Shape{1, 4});
+  const auto expected = wo.forward(env.ctx, wv.forward(env.ctx, flat));
+  for (std::int64_t i = 0; i < out.numel(); ++i) {
+    EXPECT_TRUE(std::isfinite(out.at(i))) << i;
+    EXPECT_EQ(out.at(i), expected.at(i)) << i;
+  }
+  const auto grad = attn.backward(env.ctx, out);
+  for (std::int64_t i = 0; i < grad.numel(); ++i) {
+    EXPECT_TRUE(std::isfinite(grad.at(i))) << i;
+  }
+}
+
 TEST(EdgeAttention, DimNotDivisibleByHeadsThrows) {
   EXPECT_THROW(nn::MultiheadSelfAttention("a", 6, 4), Error);
 }

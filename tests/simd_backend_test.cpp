@@ -11,12 +11,18 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "kernels/conv.hpp"
 #include "kernels/custom.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/reduce.hpp"
+#include "nn/activations.hpp"
+#include "nn/attention.hpp"
+#include "nn/layernorm.hpp"
 #include "rng/philox.hpp"
 #include "rng/sampling.hpp"
 
@@ -457,6 +463,106 @@ TEST(Simd, GemmEntryPointWithCustomKahanPanelBitwise) {
       gemm(ctx, m, n, k, a, b, got, false);
       EXPECT_TRUE(bitwise_equal(ref, got))
           << simd_backend_name(backend) << " threads=" << threads;
+    }
+  }
+}
+
+/// Everything one forward + backward of a layer produces.
+struct LayerRun {
+  std::vector<float> out;
+  std::vector<float> grad_in;
+  std::vector<std::vector<float>> param_grads;
+};
+
+/// Builds a fresh layer, gives its parameters random values (LayerNorm's
+/// init of gamma = 1, beta = 0 would hide its affine terms), then runs it
+/// forward on `x` and backward on a random upstream gradient.
+LayerRun run_layer(const std::function<std::unique_ptr<nn::Layer>()>& make,
+                   const std::vector<float>& x, const tensor::Shape& shape,
+                   SimdBackend backend, int threads) {
+  ExecContext exec = make_ctx(backend, threads);
+  rng::StreamSet streams;
+  streams.seed_all(5, 0);
+  autograd::StepContext ctx;
+  ctx.exec = &exec;
+  ctx.rng = &streams;
+  ctx.training = true;
+  auto layer = make();
+  autograd::ParameterStore store;
+  layer->register_parameters(store);
+  std::uint64_t seed = 300;
+  for (auto* p : store.all()) {
+    const auto v = random_vec(seed++, p->numel());
+    std::copy(v.begin(), v.end(), p->value.data().begin());
+  }
+  store.zero_grads();
+  const nn::Tensor out = layer->forward(ctx, nn::Tensor(shape, x));
+  const nn::Tensor g(out.shape(), random_vec(97, out.numel()));
+  const nn::Tensor grad_in = layer->backward(ctx, g);
+  LayerRun run{{out.raw(), out.raw() + out.numel()},
+               {grad_in.raw(), grad_in.raw() + grad_in.numel()},
+               {}};
+  for (const auto* p : store.all()) {
+    run.param_grads.emplace_back(p->grad.raw(), p->grad.raw() + p->numel());
+  }
+  return run;
+}
+
+/// Runs `make`'s layer on scalar at one thread, then on every backend at
+/// 1 and 4 threads, and memcmps every output buffer against the first run.
+void expect_layer_bitwise(
+    const std::function<std::unique_ptr<nn::Layer>()>& make,
+    const tensor::Shape& shape, const std::string& what) {
+  const auto x = random_vec(91, shape.numel());
+  const LayerRun ref = run_layer(make, x, shape, SimdBackend::kScalar, 1);
+  for (SimdBackend backend : available_simd_backends()) {
+    for (int threads : {1, 4}) {
+      const LayerRun got = run_layer(make, x, shape, backend, threads);
+      const std::string where = what + " " + simd_backend_name(backend) +
+                                " threads=" + std::to_string(threads);
+      EXPECT_TRUE(bitwise_equal(ref.out, got.out)) << where << " output";
+      EXPECT_TRUE(bitwise_equal(ref.grad_in, got.grad_in))
+          << where << " input gradient";
+      ASSERT_EQ(ref.param_grads.size(), got.param_grads.size()) << where;
+      for (std::size_t i = 0; i < ref.param_grads.size(); ++i) {
+        EXPECT_TRUE(bitwise_equal(ref.param_grads[i], got.param_grads[i]))
+            << where << " parameter gradient " << i;
+      }
+    }
+  }
+}
+
+TEST(Simd, TransformerLayersBitwiseAcrossBackendsAndThreads) {
+  // Attention runs its six products as sequential row panels.  Sequence
+  // lengths and head widths on both sides of the 8- and 16-lane widths
+  // reach the masked tails of every product; three samples times up to
+  // three heads give the 4-thread runs several planes to split.
+  for (std::int64_t t : {1, 5, 16, 17}) {
+    for (std::int64_t head_dim : {3, 8, 16, 20}) {
+      for (std::int64_t heads : {1, 2, 3}) {
+        const std::int64_t dim = head_dim * heads;
+        expect_layer_bitwise(
+            [&] {
+              return std::make_unique<nn::MultiheadSelfAttention>("a", dim,
+                                                                  heads);
+            },
+            tensor::Shape{3, t, dim},
+            "attention t=" + std::to_string(t) + " head_dim=" +
+                std::to_string(head_dim) + " heads=" + std::to_string(heads));
+      }
+    }
+  }
+  // GELU caches its forward tanh; LayerNorm's gamma/beta pass splits
+  // columns across chunks.  Large row counts make both actually split.
+  for (std::int64_t dim : {1, 7, 16, 33}) {
+    for (std::int64_t rows : {1, 5, 600}) {
+      const std::string shape_name =
+          " rows=" + std::to_string(rows) + " dim=" + std::to_string(dim);
+      expect_layer_bitwise([] { return std::make_unique<nn::GELU>(); },
+                           tensor::Shape{rows, dim}, "gelu" + shape_name);
+      expect_layer_bitwise(
+          [&] { return std::make_unique<nn::LayerNorm>("ln", dim); },
+          tensor::Shape{rows, dim}, "layernorm" + shape_name);
     }
   }
 }
