@@ -64,6 +64,10 @@ struct ConvRowArgs {
   std::int64_t x_hi;
 };
 
+/// The tanh-approximated GELU's constants (nn::GELU and the gelu_* bodies).
+inline constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+inline constexpr float kGeluA = 0.044715f;
+
 /// Function-pointer table of one backend's vector bodies.  Null members
 /// mean "no vector form — use the scalar loop"; the scalar backend is all
 /// null.  Every non-null body is bitwise-equal to its scalar counterpart.
@@ -135,6 +139,23 @@ struct SimdOps {
   void (*norm_affine_scalar)(const float* x, float gamma, float beta,
                              float mean, float inv_std, float* xhat,
                              float* out, std::int64_t n) = nullptr;
+
+  // Transcendental maps: per lane, the scalar port's exact operations
+  // (kernels/tanh.hpp).
+  /// out[i] = tanh_fdlibm(x[i])
+  void (*tanh_map)(const float* x, float* out, std::int64_t n) = nullptr;
+  /// t[i] = tanh_fdlibm(kGeluC * (v + ((kGeluA * v) * v) * v)),
+  /// out[i] = (0.5f * v) * (1 + t[i]), with v = x[i]
+  void (*gelu_fwd)(const float* x, float* t, float* out,
+                   std::int64_t n) = nullptr;
+  /// gin[i] = g[i] * d with v = x[i], du = kGeluC * (1 + ((3 * kGeluA) *
+  /// v) * v), d = 0.5f * (1 + t[i]) + ((0.5f * v) * (1 - t[i] * t[i])) * du
+  void (*gelu_bwd)(const float* x, const float* t, const float* g,
+                   float* gin, std::int64_t n) = nullptr;
+  /// mask[i] = u[i] >= p ? scale : +0.0f, out[i] = x[i] * mask[i]; `mask`
+  /// may alias `u`
+  void (*dropout_fwd)(const float* u, float p, float scale, const float* x,
+                      float* mask, float* out, std::int64_t n) = nullptr;
 };
 
 /// Best backend this process can run: CPUID support AND compiled-in.

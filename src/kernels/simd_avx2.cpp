@@ -50,6 +50,37 @@ struct VecAvx2 {
     return _mm256_and_ps(_mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_GT_OQ),
                          v);
   }
+
+  // int32 lanes and per-lane predicates (all-ones / all-zeros lanes).
+  using IReg = __m256i;
+  using Mask = __m256i;
+  static IReg as_int(Reg v) { return _mm256_castps_si256(v); }
+  static Reg as_float(IReg v) { return _mm256_castsi256_ps(v); }
+  static IReg ibroadcast(std::int32_t x) { return _mm256_set1_epi32(x); }
+  static IReg iadd(IReg a, IReg b) { return _mm256_add_epi32(a, b); }
+  static IReg isub(IReg a, IReg b) { return _mm256_sub_epi32(a, b); }
+  static IReg iand(IReg a, IReg b) { return _mm256_and_si256(a, b); }
+  static IReg ior(IReg a, IReg b) { return _mm256_or_si256(a, b); }
+  static IReg ixor(IReg a, IReg b) { return _mm256_xor_si256(a, b); }
+  template <int S>
+  static IReg shl(IReg a) {
+    return _mm256_slli_epi32(a, S);
+  }
+  static IReg srlv(IReg a, IReg n) { return _mm256_srlv_epi32(a, n); }
+  static IReg cvtt(Reg v) { return _mm256_cvttps_epi32(v); }
+  static Reg cvt(IReg v) { return _mm256_cvtepi32_ps(v); }
+  static Mask igt(IReg a, IReg b) { return _mm256_cmpgt_epi32(a, b); }
+  static Mask ieq(IReg a, IReg b) { return _mm256_cmpeq_epi32(a, b); }
+  static Mask ge(Reg a, Reg b) {
+    return _mm256_castps_si256(_mm256_cmp_ps(a, b, _CMP_GE_OQ));
+  }
+  static Reg blend(Mask m, Reg a, Reg b) {
+    return _mm256_blendv_ps(a, b, _mm256_castsi256_ps(m));
+  }
+  static IReg iblend(Mask m, IReg a, IReg b) {
+    return _mm256_blendv_epi8(a, b, m);
+  }
+  static bool any(Mask m) { return _mm256_testz_si256(m, m) == 0; }
 };
 
 }  // namespace

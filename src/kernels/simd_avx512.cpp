@@ -42,6 +42,41 @@ struct VecAvx512 {
         _mm512_cmp_ps_mask(x, _mm512_setzero_ps(), _CMP_GT_OQ);
     return _mm512_maskz_mov_ps(gt, v);
   }
+
+  // int32 lanes and per-lane predicates (one mask bit per lane).
+  using IReg = __m512i;
+  using Mask = __mmask16;
+  static IReg as_int(Reg v) { return _mm512_castps_si512(v); }
+  static Reg as_float(IReg v) { return _mm512_castsi512_ps(v); }
+  static IReg ibroadcast(std::int32_t x) { return _mm512_set1_epi32(x); }
+  static IReg iadd(IReg a, IReg b) { return _mm512_add_epi32(a, b); }
+  static IReg isub(IReg a, IReg b) { return _mm512_sub_epi32(a, b); }
+  static IReg iand(IReg a, IReg b) { return _mm512_and_si512(a, b); }
+  static IReg ior(IReg a, IReg b) { return _mm512_or_si512(a, b); }
+  static IReg ixor(IReg a, IReg b) { return _mm512_xor_si512(a, b); }
+  // The zero-masked forms with every lane selected are the plain
+  // instructions; GCC 12 warns (-Wuninitialized) about the placeholder
+  // source operand of the unmasked intrinsics.
+  static constexpr __mmask16 kAll = 0xFFFF;
+  template <int S>
+  static IReg shl(IReg a) {
+    return _mm512_maskz_slli_epi32(kAll, a, S);
+  }
+  static IReg srlv(IReg a, IReg n) {
+    return _mm512_maskz_srlv_epi32(kAll, a, n);
+  }
+  static IReg cvtt(Reg v) { return _mm512_maskz_cvttps_epi32(kAll, v); }
+  static Reg cvt(IReg v) { return _mm512_maskz_cvtepi32_ps(kAll, v); }
+  static Mask igt(IReg a, IReg b) { return _mm512_cmpgt_epi32_mask(a, b); }
+  static Mask ieq(IReg a, IReg b) { return _mm512_cmpeq_epi32_mask(a, b); }
+  static Mask ge(Reg a, Reg b) { return _mm512_cmp_ps_mask(a, b, _CMP_GE_OQ); }
+  static Reg blend(Mask m, Reg a, Reg b) {
+    return _mm512_mask_blend_ps(m, a, b);
+  }
+  static IReg iblend(Mask m, IReg a, IReg b) {
+    return _mm512_mask_blend_epi32(m, a, b);
+  }
+  static bool any(Mask m) { return m != 0; }
 };
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "kernels/exec_context.hpp"
+#include "kernels/tanh.hpp"
 
 namespace easyscale::nn {
 
@@ -52,36 +53,53 @@ Tensor ReLU::backward(StepContext& ctx, const Tensor& grad_out) {
   return grad_in;
 }
 
-namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
-}  // namespace
+using kernels::kGeluA;
+using kernels::kGeluC;
 
+// GELU's tanh is kernels::tanh_fdlibm, the repository's own port of the
+// code glibc runs for std::tanh(float), so its bits do not depend on the
+// host's libm.  The vector backends evaluate the same operations lane by
+// lane (kernels/simd_impl.hpp), which makes every backend bitwise-equal
+// to the scalar loops below.
+//
 // The forward caches t = tanh(u): the backward needs tanh of the same
 // float expression on the same input, so reading the cache gives it the
-// same bits without a second libm call.
+// same bits without a second tanh.
 Tensor GELU::forward(StepContext& ctx, const Tensor& x) {
   cached_input_ = x;
   cached_tanh_ = Tensor(x.shape());
   Tensor out(x.shape());
-  kernels::parallel_for(ctx.ex(), x.numel(), kTranscendentalGrain,
-                        [&](int /*chunk*/, std::int64_t i0, std::int64_t i1) {
-                          for (std::int64_t i = i0; i < i1; ++i) {
-                            const float v = x.at(i);
-                            const float t =
-                                std::tanh(kGeluC * (v + kGeluA * v * v * v));
-                            cached_tanh_.at(i) = t;
-                            out.at(i) = 0.5f * v * (1.0f + t);
-                          }
-                        });
+  const kernels::SimdOps& ops = ctx.ex().simd_ops();
+  kernels::parallel_for(
+      ctx.ex(), x.numel(), kTranscendentalGrain,
+      [&](int /*chunk*/, std::int64_t i0, std::int64_t i1) {
+        if (ops.gelu_fwd != nullptr) {
+          ops.gelu_fwd(x.raw() + i0, cached_tanh_.raw() + i0, out.raw() + i0,
+                       i1 - i0);
+          return;
+        }
+        for (std::int64_t i = i0; i < i1; ++i) {
+          const float v = x.at(i);
+          const float t =
+              kernels::tanh_fdlibm(kGeluC * (v + kGeluA * v * v * v));
+          cached_tanh_.at(i) = t;
+          out.at(i) = 0.5f * v * (1.0f + t);
+        }
+      });
   return out;
 }
 
 Tensor GELU::backward(StepContext& ctx, const Tensor& grad_out) {
   Tensor grad_in(grad_out.shape());
+  const kernels::SimdOps& ops = ctx.ex().simd_ops();
   kernels::parallel_for(
       ctx.ex(), grad_out.numel(), kTranscendentalGrain,
       [&](int /*chunk*/, std::int64_t i0, std::int64_t i1) {
+        if (ops.gelu_bwd != nullptr) {
+          ops.gelu_bwd(cached_input_.raw() + i0, cached_tanh_.raw() + i0,
+                       grad_out.raw() + i0, grad_in.raw() + i0, i1 - i0);
+          return;
+        }
         for (std::int64_t i = i0; i < i1; ++i) {
           const float v = cached_input_.at(i);
           const float t = cached_tanh_.at(i);

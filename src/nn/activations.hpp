@@ -15,7 +15,10 @@ class ReLU : public Layer {
   Tensor cached_input_;
 };
 
-/// tanh-approximated GELU (the approximation used by BERT).
+/// tanh-approximated GELU (the approximation used by BERT).  The tanh is
+/// kernels::tanh_fdlibm, the repository's own port of glibc's tanhf, and
+/// the vector backends run it lane by lane (SimdOps::gelu_fwd/gelu_bwd),
+/// so every backend gives the scalar loop's bits on any host.
 class GELU : public Layer {
  public:
   Tensor forward(StepContext& ctx, const Tensor& x) override;

@@ -22,6 +22,11 @@ inline void philox_round(std::array<std::uint32_t, 4>& ctr, std::uint32_t k0,
   ctr = {hi1 ^ ctr[1] ^ k0, lo1, hi0 ^ ctr[3] ^ k1, lo0};
 }
 
+/// Uniform float in [0, 1) from the top 24 bits of one word.
+float word_to_float(std::uint32_t w) {
+  return static_cast<float>(w >> 8) * 0x1.0p-24f;
+}
+
 }  // namespace
 
 void PhiloxState::save(ByteWriter& w) const {
@@ -81,8 +86,24 @@ double Philox::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-float Philox::next_float() {
-  return static_cast<float>(next_u32() >> 8) * 0x1.0p-24f;
+float Philox::next_float() { return word_to_float(next_u32()); }
+
+void Philox::fill_floats(float* out, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i < n && state_.buffer_pos < 4; ++i) {
+    out[i] = word_to_float(state_.buffer[state_.buffer_pos++]);
+  }
+  for (; i + 4 <= n; i += 4) {
+    refill();
+    for (int w = 0; w < 4; ++w) out[i + w] = word_to_float(state_.buffer[w]);
+    state_.buffer_pos = 4;
+  }
+  if (i < n) {
+    refill();
+    for (; i < n; ++i) {
+      out[i] = word_to_float(state_.buffer[state_.buffer_pos++]);
+    }
+  }
 }
 
 std::uint64_t Philox::next_below(std::uint64_t bound) {

@@ -54,6 +54,12 @@ class Philox {
   /// Uniform float in [0, 1).
   float next_float();
 
+  /// out[i] = next_float() for i in [0, n), leaving the same stream position
+  /// and the same state as those n calls: it drains the buffered words,
+  /// writes whole blocks straight out, and refills for a partial last block
+  /// only when one is needed.
+  void fill_floats(float* out, std::int64_t n);
+
   /// Uniform integer in [0, bound).  bound must be positive.
   std::uint64_t next_below(std::uint64_t bound);
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "rng/philox.hpp"
 #include "rng/sampling.hpp"
@@ -84,6 +86,51 @@ TEST(Philox, NormalMoments) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.02);
   EXPECT_NEAR(sq / n, 1.0, 0.03);
+}
+
+TEST(PhiloxFill, MatchesRepeatedNextFloatFromEveryBufferPos) {
+  // Every buffer_pos a state can hold: a fresh stream (empty buffer, no
+  // block drawn yet), then block 0 with 0..4 of its words consumed.
+  Philox warm(29);
+  for (int i = 0; i < 4; ++i) (void)warm.next_u32();
+  std::vector<PhiloxState> starts = {Philox(29).state()};
+  for (std::uint32_t pos = 0; pos <= 4; ++pos) {
+    PhiloxState s = warm.state();
+    s.buffer_pos = pos;
+    starts.push_back(s);
+  }
+  for (std::size_t si = 0; si < starts.size(); ++si) {
+    for (std::int64_t n = 0; n <= 9; ++n) {
+      Philox bulk;
+      Philox single;
+      bulk.set_state(starts[si]);
+      single.set_state(starts[si]);
+      std::vector<float> got(static_cast<std::size_t>(n) + 1, -1.0f);
+      bulk.fill_floats(got.data(), n);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const float want = single.next_float();
+        EXPECT_EQ(std::memcmp(&got[static_cast<std::size_t>(i)], &want,
+                              sizeof(float)),
+                  0)
+            << "start " << si << " n=" << n << " i=" << i;
+      }
+      EXPECT_EQ(got.back(), -1.0f) << "wrote past n";
+      EXPECT_TRUE(bulk.state() == single.state())
+          << "start " << si << " n=" << n;
+      EXPECT_EQ(bulk.next_u32(), single.next_u32());
+    }
+  }
+}
+
+TEST(PhiloxFill, LongFillMatchesRepeatedNextFloat) {
+  Philox bulk(31);
+  Philox single(31);
+  (void)bulk.next_u32();
+  (void)single.next_u32();
+  std::vector<float> got(1001);
+  bulk.fill_floats(got.data(), 1001);
+  for (float g : got) ASSERT_EQ(g, single.next_float());
+  EXPECT_TRUE(bulk.state() == single.state());
 }
 
 TEST(Sampling, PermutationIsValid) {

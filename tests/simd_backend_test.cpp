@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "kernels/reduce.hpp"
 #include "nn/activations.hpp"
 #include "nn/attention.hpp"
+#include "nn/dropout.hpp"
 #include "nn/layernorm.hpp"
 #include "rng/philox.hpp"
 #include "rng/sampling.hpp"
@@ -76,6 +79,10 @@ TEST(Simd, DetectionAndAvailability) {
     EXPECT_NE(ops.conv_row, nullptr);
     EXPECT_NE(ops.relu_fwd, nullptr);
     EXPECT_NE(ops.norm_affine_vec, nullptr);
+    EXPECT_NE(ops.tanh_map, nullptr);
+    EXPECT_NE(ops.gelu_fwd, nullptr);
+    EXPECT_NE(ops.gelu_bwd, nullptr);
+    EXPECT_NE(ops.dropout_fwd, nullptr);
   }
 }
 
@@ -91,7 +98,8 @@ TEST(Simd, EnvOverrideStrictValidation) {
   for (const char* bad : {"avx2 ", " scalar", "AVX-512", "AVX2", "Scalar",
                           "sse", "avx", "best", "auto\t"}) {
     ASSERT_EQ(setenv(kVar, bad, 1), 0);
-    EXPECT_THROW(parse_simd_backend_env(), Error) << "value: '" << bad << "'";
+    EXPECT_THROW((void)parse_simd_backend_env(), Error)
+        << "value: '" << bad << "'";
   }
   // Valid tokens parse; pinning a backend the host cannot run throws
   // (never silently downgrades).
@@ -100,7 +108,7 @@ TEST(Simd, EnvOverrideStrictValidation) {
     if (simd_backend_available(b)) {
       EXPECT_EQ(parse_simd_backend_env(), b);
     } else {
-      EXPECT_THROW(parse_simd_backend_env(), Error);
+      EXPECT_THROW((void)parse_simd_backend_env(), Error);
     }
   }
   ASSERT_EQ(unsetenv(kVar), 0);
@@ -510,10 +518,12 @@ LayerRun run_layer(const std::function<std::unique_ptr<nn::Layer>()>& make,
 
 /// Runs `make`'s layer on scalar at one thread, then on every backend at
 /// 1 and 4 threads, and memcmps every output buffer against the first run.
+/// The input is `x`, or random normal values when `x` is empty.
 void expect_layer_bitwise(
     const std::function<std::unique_ptr<nn::Layer>()>& make,
-    const tensor::Shape& shape, const std::string& what) {
-  const auto x = random_vec(91, shape.numel());
+    const tensor::Shape& shape, const std::string& what,
+    std::vector<float> x = {}) {
+  if (x.empty()) x = random_vec(91, shape.numel());
   const LayerRun ref = run_layer(make, x, shape, SimdBackend::kScalar, 1);
   for (SimdBackend backend : available_simd_backends()) {
     for (int threads : {1, 4}) {
@@ -553,7 +563,8 @@ TEST(Simd, TransformerLayersBitwiseAcrossBackendsAndThreads) {
     }
   }
   // GELU caches its forward tanh; LayerNorm's gamma/beta pass splits
-  // columns across chunks.  Large row counts make both actually split.
+  // columns across chunks; Dropout thresholds a bulk draw lanewise.  Large
+  // row counts make all three actually split.
   for (std::int64_t dim : {1, 7, 16, 33}) {
     for (std::int64_t rows : {1, 5, 600}) {
       const std::string shape_name =
@@ -563,8 +574,27 @@ TEST(Simd, TransformerLayersBitwiseAcrossBackendsAndThreads) {
       expect_layer_bitwise(
           [&] { return std::make_unique<nn::LayerNorm>("ln", dim); },
           tensor::Shape{rows, dim}, "layernorm" + shape_name);
+      expect_layer_bitwise([] { return std::make_unique<nn::Dropout>(0.25f); },
+                           tensor::Shape{rows, dim}, "dropout" + shape_name);
     }
   }
+  // GELU inputs whose tanh argument u = kGeluC * (v + kGeluA * v^3) takes
+  // every branch of the tanh port: +-0, subnormal and |u| < 2^-55 (v down
+  // to 2^-149), the expm1 reductions k = 0, -1, <= -2 for |u| < 1, k from
+  // 3 through past 56 for 1 <= |u| < 22 (v in steps of 2^(1/8) up to
+  // 2^8), |u| >= 22, u = +-inf through an overflowing v^3, +-inf, NaN.
+  std::vector<float> v = {0.0f, -0.0f, 1e13f, -1e13f,
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()};
+  for (int e8 = -149 * 8; e8 <= 8 * 8; ++e8) {
+    const float mag = std::exp2(static_cast<float>(e8) / 8.0f);
+    v.push_back(mag);
+    v.push_back(-mag);
+  }
+  const auto n = static_cast<std::int64_t>(v.size());
+  expect_layer_bitwise([] { return std::make_unique<nn::GELU>(); },
+                       tensor::Shape{n}, "gelu every tanh branch", v);
 }
 
 }  // namespace
