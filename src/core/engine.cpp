@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <sstream>
-#include <thread>
 
 #include "common/digest.hpp"
 #include "common/frame.hpp"
@@ -42,14 +41,8 @@ EasyScaleEngine::EasyScaleEngine(EasyScaleConfig config,
       data::DistributedSampler(train.size(), config_.num_ests, 0,
                                config_.batch_per_est, config_.seed)
           .steps_per_epoch();
-  // Resolve once so rebuilds and D0 restores use the same cap.
-  config_.bucket_cap_bytes =
-      comm::resolve_bucket_cap(config_.bucket_cap_bytes, prototype->params());
-  layout_ = comm::BucketManager(prototype->params(), config_.bucket_cap_bytes)
-                .initial_layout();
+  buckets_.init(prototype->params(), config_.bucket_cap_bytes);
 }
-
-EasyScaleEngine::~EasyScaleEngine() = default;
 
 void EasyScaleEngine::rebuild_loader() {
   pool_.reset();
@@ -68,8 +61,8 @@ void EasyScaleEngine::configure_workers(
   // On-demand checkpoint of the running state before tearing down the old
   // worker set (scale in/out path).
   std::vector<std::uint8_t> snapshot;
-  const bool had_workers = !workers_.empty();
-  if (had_workers) snapshot = checkpoint_locked();
+  const bool had_workers = !replicas_.empty();
+  if (had_workers) snapshot = checkpoint();
 
   std::vector<std::vector<std::int64_t>> plan;
   if (assignment.has_value()) {
@@ -104,41 +97,26 @@ void EasyScaleEngine::configure_workers(
     }
   }
 
-  workers_.clear();
-  workers_.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    Worker w;
-    w.spec = specs[i];
-    w.replica = models::make_workload(config_.workload);
-    w.replica->init(config_.seed);
-    w.optimizer = optim::make_optimizer(w.replica->params(), config_.optim);
-    w.scheduler = std::make_unique<optim::StepLR>(
-        *w.optimizer, config_.lr_step_epochs, config_.gamma);
-    w.exec.device = specs[i].device;
-    w.exec.policy = kernel_policy(config_.determinism);
-    w.exec.custom_gemm = config_.custom_d2_gemm;
-    w.exec.intra_op_threads = config_.intra_op_threads;
-    w.ests = plan[i];
-    workers_.push_back(std::move(w));
+  replicas_.clear();
+  replicas_.reserve(specs.size());
+  for (const WorkerSpec& spec : specs) {
+    replicas_.push_back(
+        make_replica(config_, spec.device, kernel_policy(config_.determinism)));
   }
+  specs_ = specs;
+  assignment_ = std::move(plan);
   rebuild_loader();
-  if (config_.resilient_comm) {
-    // Fresh membership epoch: a reconfiguration rebuilds the group, so the
-    // fabric and the monitor start clean at the new world size.
-    transport_ = std::make_unique<comm::SimTransport>(
-        static_cast<int>(workers_.size()), config_.transport);
-    monitor_ = std::make_unique<comm::MembershipMonitor>(
-        static_cast<int>(workers_.size()), config_.transport);
-    last_comm_report_.reset();
-  }
+  // Fresh membership epoch: a reconfiguration rebuilds the group, so the
+  // fabric and the monitor start clean at the new world size.
+  reset_comm(config_, static_cast<int>(replicas_.size()));
   if (had_workers) restore(snapshot);
-  ES_LOG_INFO("EasyScale reconfigured onto " << workers_.size()
+  ES_LOG_INFO("EasyScale reconfigured onto " << replicas_.size()
                                              << " worker(s)");
 }
 
-void EasyScaleEngine::capture_context(Worker& worker, ESTContext& ctx) {
+void EasyScaleEngine::capture_context(Replica& worker, ESTContext& ctx) {
   ctx.model_streams = worker.streams.state();
-  auto buffers = worker.replica->buffers();
+  auto buffers = worker.model->buffers();
   ES_CHECK(buffers.size() == ctx.bn_buffers.size(), "buffer set mismatch");
   for (std::size_t i = 0; i < buffers.size(); ++i) {
     ctx.bn_buffers[i] = *buffers[i];
@@ -149,9 +127,10 @@ void EasyScaleEngine::capture_context(Worker& worker, ESTContext& ctx) {
   }
 }
 
-void EasyScaleEngine::restore_context(Worker& worker, const ESTContext& ctx) {
+void EasyScaleEngine::restore_context(Replica& worker,
+                                      const ESTContext& ctx) {
   worker.streams.set_state(ctx.model_streams);
-  auto buffers = worker.replica->buffers();
+  auto buffers = worker.model->buffers();
   ES_CHECK(buffers.size() == ctx.bn_buffers.size(), "buffer set mismatch");
   for (std::size_t i = 0; i < buffers.size(); ++i) {
     *buffers[i] = ctx.bn_buffers[i];
@@ -159,7 +138,7 @@ void EasyScaleEngine::restore_context(Worker& worker, const ESTContext& ctx) {
 }
 
 void EasyScaleEngine::one_step() {
-  ES_CHECK(!workers_.empty(), "configure_workers before run");
+  ES_CHECK(!replicas_.empty(), "configure_workers before run");
   // Keep the shared data-worker pool fed `kPrefetchSteps` ahead.
   if (pool_) {
     for (std::int64_t e = 0; e < config_.num_ests; ++e) {
@@ -175,16 +154,17 @@ void EasyScaleEngine::one_step() {
   const bool witness_due =
       config_.witness.witness_every > 0 &&
       (global_step_ + 1) % config_.witness.witness_every == 0;
-  std::vector<std::int64_t> witnessed(workers_.size(), -1);
-  std::vector<ESTContext> pre_contexts(workers_.size());
-  std::vector<data::Batch> witness_batches(workers_.size());
-  std::vector<float> witness_losses(workers_.size(), 0.0f);
+  const std::size_t num_workers = replicas_.size();
+  std::vector<std::int64_t> witnessed(num_workers, -1);
+  std::vector<ESTContext> pre_contexts(num_workers);
+  std::vector<data::Batch> witness_batches(num_workers);
+  std::vector<float> witness_losses(num_workers, 0.0f);
   if (witness_due) {
     ES_CHECK(
         kernel_policy(config_.determinism) != kernels::KernelPolicy::kFastest,
         "re-execution witness requires a deterministic kernel policy");
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      const auto& ests = workers_[w].ests;
+    for (std::size_t w = 0; w < num_workers; ++w) {
+      const auto& ests = assignment_[w];
       witnessed[w] = ests[static_cast<std::size_t>(
           witness_round_ % static_cast<std::int64_t>(ests.size()))];
       pre_contexts[w] = contexts_[static_cast<std::size_t>(witnessed[w])];
@@ -193,7 +173,7 @@ void EasyScaleEngine::one_step() {
   }
 
   autograd::GradReadyRecorder recorder;
-  const bool record = !rebuilt_;
+  const bool record = buckets_.pending();
   // Collective inputs are set up before the workers run: building them
   // after the worker loop instead measured ~10% slower steps on
   // stepbench's rescale-est (4-core x86 host), a heap-reuse effect.
@@ -201,16 +181,16 @@ void EasyScaleEngine::one_step() {
   parts.reserve(grad_buffers_.size());
   for (auto& g : grad_buffers_) parts.push_back(&g);
   std::vector<int> host_of_part(grad_buffers_.size(), 0);
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    for (std::int64_t est : workers_[w].ests) {
+  for (std::size_t w = 0; w < num_workers; ++w) {
+    for (std::int64_t est : assignment_[w]) {
       host_of_part[static_cast<std::size_t>(est)] = static_cast<int>(w);
     }
   }
 
   float last_loss = 0.0f;
   auto run_worker = [&](std::size_t wi) {
-    Worker& worker = workers_[wi];
-    for (std::int64_t est : worker.ests) {
+    Replica& worker = replicas_[wi];
+    for (std::int64_t est : assignment_[wi]) {
       ESTContext& ctx = contexts_[static_cast<std::size_t>(est)];
       if (config_.context_switching) {
         restore_context(worker, ctx);
@@ -225,22 +205,15 @@ void EasyScaleEngine::one_step() {
           pool_ ? pool_->get(est, global_step_)
                 : pipelines_[static_cast<std::size_t>(est)].next();
       if (witness_due && est == witnessed[wi]) witness_batches[wi] = batch;
-      worker.replica->params().zero_grads();
-      autograd::StepContext step_ctx;
-      step_ctx.exec = &worker.exec;
-      step_ctx.rng = &worker.streams;
-      step_ctx.training = true;
-      if (record && est == 0) {
-        recorder.begin(worker.replica->params().size());
-        step_ctx.grad_ready = &recorder;
-      }
-      const float loss = worker.replica->train_step(step_ctx, batch);
+      const float loss =
+          local_step(*worker.model, worker.exec, worker.streams, batch,
+                     record && est == 0 ? &recorder : nullptr);
       if (witness_due && est == witnessed[wi]) witness_losses[wi] = loss;
       if (est == config_.num_ests - 1) last_loss = loss;
       // Gradient D2H swap: the only working-set category that must leave
       // the device per EST (§3.2).
       grad_buffers_[static_cast<std::size_t>(est)] =
-          comm::GradientSet::from_store(worker.replica->params());
+          comm::GradientSet::from_store(worker.model->params());
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         stats_.gradient_bytes_swapped += comm::gradient_bytes(
@@ -250,27 +223,18 @@ void EasyScaleEngine::one_step() {
         capture_context(worker, ctx);
       } else {
         ctx.model_streams = worker.streams.state();
-        auto buffers = worker.replica->buffers();
+        auto buffers = worker.model->buffers();
         for (std::size_t i = 0; i < buffers.size(); ++i) {
           ctx.bn_buffers[i] = *buffers[i];
         }
       }
     }
   };
-  if (config_.parallel_workers && workers_.size() > 1) {
-    // Each worker owns a disjoint replica + EST set; the only shared writes
-    // (loss of the last EST, the EST-0 recorder, swap counters, witness
-    // capture slots) are ordered by the join below and race-free by
-    // construction (distinct ESTs / per-worker slots).
-    std::vector<std::thread> threads;
-    threads.reserve(workers_.size());
-    for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-      threads.emplace_back([&run_worker, wi] { run_worker(wi); });
-    }
-    for (auto& t : threads) t.join();
-  } else {
-    for (std::size_t wi = 0; wi < workers_.size(); ++wi) run_worker(wi);
-  }
+  // Each worker owns a disjoint replica + EST set; the only shared writes
+  // (loss of the last EST, the EST-0 recorder, swap counters, witness
+  // capture slots) are ordered by fan_out's join and race-free by
+  // construction (distinct ESTs / per-worker slots).
+  fan_out(num_workers, config_.parallel_workers, run_worker);
   // Re-execution witness: replay before the all-reduce publishes, so a
   // corrupt contribution is caught while it is still attributable to one
   // worker (the averaged result would implicate everybody).
@@ -278,29 +242,17 @@ void EasyScaleEngine::one_step() {
     run_witness(witnessed, pre_contexts, witness_batches, witness_losses);
   }
   // ElasticDDP: ring all-reduce over the *virtual* ranks with the recorded
-  // bucket layout — bitwise independent of the physical worker count.
-  if (config_.resilient_comm) {
-    // Virtual participants ride their physical worker's links; co-hosted
-    // ESTs exchange chunks locally.  A condemned worker aborts the step
-    // (kAbort) — its ESTs' gradients are unrecoverable without a rollback.
-    comm::ResilientConfig rcfg = config_.resilient;
-    rcfg.on_death = comm::DeathPolicy::kAbort;
-    last_comm_report_ = comm::resilient_allreduce_average(
-        layout_, parts, *transport_, *monitor_, rcfg, &host_of_part);
-  } else {
-    comm::allreduce_average(layout_, parts);
-  }
-  for (auto& worker : workers_) {
-    grad_buffers_[0].to_store(worker.replica->params());
+  // bucket layout — bitwise independent of the physical worker count.  On
+  // the resilient fabric virtual participants ride their physical worker's
+  // links; co-hosted ESTs exchange chunks locally.  A condemned worker
+  // aborts the step — its ESTs' gradients are unrecoverable without a
+  // rollback.
+  sync_allreduce(parts, &host_of_part);
+  for (auto& worker : replicas_) {
+    grad_buffers_[0].to_store(worker.model->params());
     worker.optimizer->step();
   }
-  if (record) {
-    ES_CHECK(!recorder.order().empty(), "grad-ready order not captured");
-    layout_ = comm::BucketManager(workers_[0].replica->params(),
-                                  config_.bucket_cap_bytes)
-                  .layout_from_ready_order(recorder.order());
-    rebuilt_ = true;
-  }
+  if (record) buckets_.rebuild(replicas_[0].model->params(), recorder);
   losses_.push_back(last_loss);
   ++global_step_;
 }
@@ -315,21 +267,18 @@ void EasyScaleEngine::run_witness(
     witness_replica_ = models::make_workload(config_.workload);
     witness_replica_->init(config_.seed);
   }
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
+  for (std::size_t w = 0; w < replicas_.size(); ++w) {
     const std::int64_t est = witnessed_ests[w];
     ++witness_stats_.replays;
     // Clean execution context: same device and policy as the live worker —
     // so deterministic variant selection matches bit for bit — but no
     // post-op hook and a private scratch/cache.
-    kernels::ExecContext exec;
-    exec.device = workers_[w].spec.device;
-    exec.policy = kernel_policy(config_.determinism);
-    exec.custom_gemm = config_.custom_d2_gemm;
-    exec.intra_op_threads = config_.intra_op_threads;
+    const kernels::ExecContext exec = make_exec(
+        config_, specs_[w].device, kernel_policy(config_.determinism));
     // Step-start parameters are still live on every replica (the optimizer
     // has not stepped yet); the pre-step context restores streams and BN
     // buffers, the captured batch replays the exact input.
-    const auto& src = workers_[0].replica->params().all();
+    const auto& src = replicas_[0].model->params().all();
     const auto& dst = witness_replica_->params().all();
     ES_CHECK(src.size() == dst.size(), "witness replica parameter mismatch");
     for (std::size_t p = 0; p < src.size(); ++p) dst[p]->value = src[p]->value;
@@ -340,13 +289,8 @@ void EasyScaleEngine::run_witness(
     for (std::size_t i = 0; i < buffers.size(); ++i) {
       *buffers[i] = pre_contexts[w].bn_buffers[i];
     }
-    witness_replica_->params().zero_grads();
-    autograd::StepContext step_ctx;
-    step_ctx.exec = &exec;
-    step_ctx.rng = &witness_streams_;
-    step_ctx.training = true;
-    const float replay_loss =
-        witness_replica_->train_step(step_ctx, batches[w]);
+    const float replay_loss = local_step(*witness_replica_, exec,
+                                         witness_streams_, batches[w], nullptr);
     const comm::GradientSet replay =
         comm::GradientSet::from_store(witness_replica_->params());
     Digest live_d;
@@ -375,88 +319,42 @@ void EasyScaleEngine::run_witness(
   last_clean_witness_step_ = global_step_ + 1;
 }
 
-void EasyScaleEngine::run_steps(std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) one_step();
-}
-
-void EasyScaleEngine::run_epochs(std::int64_t n) {
-  for (std::int64_t e = 0; e < n; ++e) {
-    const std::int64_t epoch = global_step_ / steps_per_epoch_;
-    for (auto& worker : workers_) worker.scheduler->set_epoch(epoch);
-    run_steps(steps_per_epoch_);
-  }
-}
-
-void EasyScaleEngine::inject_comm_fault(const comm::CommFaultEvent& event) {
-  ES_CHECK(config_.resilient_comm,
-           "inject_comm_fault requires resilient_comm = true");
-  ES_CHECK(transport_ != nullptr, "configure_workers before injecting");
-  transport_->inject(event);
-}
-
-const comm::TransportStats& EasyScaleEngine::transport_stats() const {
-  ES_CHECK(transport_ != nullptr, "resilient comm not configured");
-  return transport_->stats();
-}
-
 std::vector<double> EasyScaleEngine::comm_stall_per_worker() const {
   std::vector<double> stalls;
   if (transport_ == nullptr) return stalls;
-  stalls.reserve(workers_.size());
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
+  stalls.reserve(replicas_.size());
+  for (std::size_t w = 0; w < replicas_.size(); ++w) {
     stalls.push_back(transport_->stall_seconds(static_cast<int>(w)));
   }
   return stalls;
 }
 
-std::vector<std::vector<std::int64_t>> EasyScaleEngine::current_assignment()
-    const {
-  std::vector<std::vector<std::int64_t>> plan;
-  plan.reserve(workers_.size());
-  for (const auto& w : workers_) plan.push_back(w.ests);
-  return plan;
-}
-
-std::vector<WorkerSpec> EasyScaleEngine::current_worker_specs() const {
-  std::vector<WorkerSpec> specs;
-  specs.reserve(workers_.size());
-  for (const auto& w : workers_) specs.push_back(w.spec);
-  return specs;
-}
-
-std::uint64_t EasyScaleEngine::params_digest() const {
-  ES_CHECK(!workers_.empty(), "no workers configured");
-  Digest d;
-  for (const auto* p : workers_[0].replica->params().all()) {
-    d.update(p->value.data());
-  }
-  return d.value();
+const comm::GradientSet& EasyScaleEngine::grad_buffer(std::int64_t est) const {
+  ES_CHECK(est >= 0 && est < config_.num_ests,
+           "EST " << est << " out of range [0, " << config_.num_ests << ")");
+  return grad_buffers_[static_cast<std::size_t>(est)];
 }
 
 DigestChain EasyScaleEngine::params_digest_chain() const {
-  ES_CHECK(!workers_.empty(), "no workers configured");
   DigestChain chain;
   std::uint64_t id = 0;
-  for (const auto* p : workers_[0].replica->params().all()) {
+  for (const auto* p : replica(0, "worker").model->params().all()) {
     chain.push(id++, digest_floats(p->value.data()));
   }
   return chain;
 }
 
-void EasyScaleEngine::set_post_op_hook(std::int64_t worker,
-                                       kernels::PostOpHook* hook) {
-  ES_CHECK(worker >= 0 && worker < num_workers(),
-           "post-op hook worker " << worker << " out of range");
-  workers_[static_cast<std::size_t>(worker)].exec.post_op = hook;
-}
-
 models::Workload& EasyScaleEngine::model_for_eval(std::int64_t est_rank) {
-  ES_CHECK(!workers_.empty(), "no workers configured");
-  restore_context(workers_[0], contexts_[static_cast<std::size_t>(est_rank)]);
-  return *workers_[0].replica;
+  Replica& worker = replica(0, "worker");
+  ES_CHECK(est_rank >= 0 && est_rank < config_.num_ests,
+           "EST " << est_rank << " out of range [0, " << config_.num_ests
+                  << ")");
+  restore_context(worker, contexts_[static_cast<std::size_t>(est_rank)]);
+  return *worker.model;
 }
 
-std::vector<std::uint8_t> EasyScaleEngine::checkpoint_locked() const {
+std::vector<std::uint8_t> EasyScaleEngine::checkpoint() const {
+  const Replica& worker0 = replica(0, "worker");
   ByteWriter w;
   w.write(kCheckpointMagic);
   w.write(global_step_);
@@ -465,13 +363,10 @@ std::vector<std::uint8_t> EasyScaleEngine::checkpoint_locked() const {
   const bool save_layout =
       config_.determinism.level == DeterminismLevel::kD1;
   w.write<std::uint8_t>(save_layout ? 1 : 0);
-  if (save_layout) {
-    w.write<std::uint8_t>(rebuilt_ ? 1 : 0);
-    layout_.save(w);
-  }
-  workers_[0].replica->params().save_values(w);
-  workers_[0].optimizer->save(w);
-  workers_[0].scheduler->save(w);
+  if (save_layout) buckets_.save(w);
+  worker0.model->params().save_values(w);
+  worker0.optimizer->save(w);
+  worker0.scheduler->save(w);
   for (std::int64_t e = 0; e < config_.num_ests; ++e) {
     contexts_[static_cast<std::size_t>(e)].save(w);
     pipelines_[static_cast<std::size_t>(e)].save(w);
@@ -484,48 +379,28 @@ std::vector<std::uint8_t> EasyScaleEngine::checkpoint_locked() const {
   return w.take();
 }
 
-std::vector<std::uint8_t> EasyScaleEngine::checkpoint() const {
-  ES_CHECK(!workers_.empty(), "no workers configured");
-  return checkpoint_locked();
-}
-
 void EasyScaleEngine::restore(std::span<const std::uint8_t> bytes) {
-  ES_CHECK(!workers_.empty(), "configure_workers before restore");
+  ES_CHECK(!replicas_.empty(), "configure_workers before restore");
   ByteReader r(bytes);
   frame::expect_magic(r, kCheckpointMagic, "EasyScale checkpoint");
   global_step_ = r.read<std::int64_t>();
+  Replica& worker0 = replicas_.front();
   const bool has_layout = r.read<std::uint8_t>() != 0;
   if (has_layout) {
-    rebuilt_ = r.read<std::uint8_t>() != 0;
-    layout_ = comm::BucketLayout::load(r);
+    buckets_.load(r);
   } else {
     // D0: the bucket mapping was not checkpointed.  Fall back to the static
     // layout and schedule a rebuild — the restart therefore re-associates
     // the ring sums and training diverges bitwise from an uninterrupted
     // run.
-    rebuilt_ = false;
-    layout_ = comm::BucketManager(workers_[0].replica->params(),
-                                  config_.bucket_cap_bytes)
-                  .initial_layout();
+    buckets_.reset(worker0.model->params());
   }
   // Parameters / optimizer / scheduler load into worker 0, then replicate
   // onto every other worker.
-  workers_[0].replica->params().load_values(r);
-  workers_[0].optimizer->load(r);
-  workers_[0].scheduler->load(r);
-  for (std::size_t i = 1; i < workers_.size(); ++i) {
-    const auto& src = workers_[0].replica->params().all();
-    const auto& dst = workers_[i].replica->params().all();
-    for (std::size_t p = 0; p < src.size(); ++p) dst[p]->value = src[p]->value;
-    ByteWriter ow;
-    workers_[0].optimizer->save(ow);
-    ByteReader orr(ow.bytes());
-    workers_[i].optimizer->load(orr);
-    ByteWriter sw;
-    workers_[0].scheduler->save(sw);
-    ByteReader sr(sw.bytes());
-    workers_[i].scheduler->load(sr);
-  }
+  worker0.model->params().load_values(r);
+  worker0.optimizer->load(r);
+  worker0.scheduler->load(r);
+  broadcast_replica0_state();
   for (std::int64_t e = 0; e < config_.num_ests; ++e) {
     contexts_[static_cast<std::size_t>(e)] = ESTContext::load(r);
     pipelines_[static_cast<std::size_t>(e)].load(r);

@@ -19,18 +19,14 @@
 #include <optional>
 #include <vector>
 
-#include "comm/allreduce.hpp"
-#include "comm/bucket.hpp"
-#include "comm/resilient.hpp"
 #include "common/digest.hpp"
 #include "core/determinism.hpp"
 #include "core/est_context.hpp"
 #include "core/integrity.hpp"
+#include "core/step_core.hpp"
 #include "data/loader.hpp"
 #include "data/pipeline.hpp"
 #include "models/datasets.hpp"
-#include "optim/optimizer.hpp"
-#include "optim/sgd.hpp"
 
 namespace easyscale::core {
 
@@ -38,22 +34,12 @@ struct WorkerSpec {
   kernels::DeviceType device = kernels::DeviceType::kV100;
 };
 
-struct EasyScaleConfig {
-  std::string workload = "ResNet18";
+/// The engine's config: the shared step-core fields (StepCoreConfig) plus
+/// the EST-specific ones.
+struct EasyScaleConfig : StepCoreConfig {
   std::int64_t num_ests = 4;  // maxP: logical DoP fixed at model design time
   std::int64_t batch_per_est = 8;
-  std::uint64_t seed = 42;
   DeterminismConfig determinism;
-  /// Custom D2 GEMM kernel handle (kernels/custom.hpp), 0 = built-in.
-  /// Only meaningful with determinism.d2 = true.
-  int custom_d2_gemm = 0;
-  /// Bucket capacity in bytes; 0 resolves to EASYSCALE_BUCKET_CAP (when
-  /// set and >= the largest parameter) and otherwise to the historical
-  /// 4096-byte default.  See comm::resolve_bucket_cap.
-  std::int64_t bucket_cap_bytes = 0;
-  optim::OptimizerConfig optim;
-  std::int64_t lr_step_epochs = 20;
-  float gamma = 0.1f;
   /// Route batches through the shared data-worker pool (async) instead of
   /// building them inline.  Bitwise identical either way.
   bool use_async_loader = false;
@@ -61,28 +47,6 @@ struct EasyScaleConfig {
   /// Fig-11 ablation: disable EST context switching (requires exactly one
   /// EST per worker; drops the gradient D2H copy and context save/restore).
   bool context_switching = true;
-  /// Execute physical workers on parallel threads within each global step
-  /// (real deployments do; the default is sequential for debuggability).
-  /// Bitwise identical either way: workers touch disjoint state between
-  /// synchronization points.
-  bool parallel_workers = false;
-  /// Intra-op compute threads per worker (0 = the EASYSCALE_THREADS process
-  /// default).  All workers share one bounded global pool, so this composes
-  /// with parallel_workers without oversubscription.  Bitwise identical for
-  /// every value — see docs/PARALLELISM.md.
-  int intra_op_threads = 0;
-  /// Route the virtual-rank all-reduce through the failure-aware comm
-  /// substrate (comm/resilient.hpp): a simulated Transport with per-link
-  /// latency/bandwidth, heartbeat membership, and deadline-based detection.
-  /// Bitwise identical to the plain path — the success path executes the
-  /// exact same bucketed ring — but faults injected on the transport
-  /// surface as retries, stalls, or a RankDeathError out of run_steps().
-  bool resilient_comm = false;
-  comm::TransportConfig transport;
-  /// Retry/backoff policy for the resilient collective.  `on_death` is
-  /// forced to kAbort: a dead worker's ESTs lose their gradients, so the
-  /// step must roll back (FaultSupervisor recovers via checkpoint).
-  comm::ResilientConfig resilient;
   /// Periodic re-execution witness (core/integrity.hpp): replays one EST
   /// per worker on a clean replica and compares gradient digests.  A
   /// divergence throws IntegrityError out of run_steps().  Requires a
@@ -97,61 +61,35 @@ struct SwitchStats {
   std::int64_t context_bytes_swapped = 0;
 };
 
-class EasyScaleEngine {
+class EasyScaleEngine : public StepCore {
  public:
   EasyScaleEngine(EasyScaleConfig config, const data::Dataset& train,
                   data::AugmentConfig augment);
-  ~EasyScaleEngine();
 
   /// (Re)map ESTs onto a new physical worker set.  Contiguous balanced
   /// assignment by default; pass `assignment` (worker -> list of EST ranks,
-  /// covering every EST exactly once) to control the mapping.
+  /// covering every EST exactly once) to control the mapping.  Clears
+  /// every post-op hook (the installer re-arms) and resets the comm fabric.
   void configure_workers(
       const std::vector<WorkerSpec>& workers,
       std::optional<std::vector<std::vector<std::int64_t>>> assignment =
           std::nullopt);
 
-  /// Run `n` global steps across all ESTs.
-  void run_steps(std::int64_t n);
-
-  /// Run whole epochs, applying the StepLR schedule like the DDP baseline.
-  void run_epochs(std::int64_t n);
-
-  [[nodiscard]] const std::vector<float>& loss_history() const {
-    return losses_;
-  }
-  [[nodiscard]] std::int64_t global_step() const { return global_step_; }
-  [[nodiscard]] std::int64_t steps_per_epoch() const {
-    return steps_per_epoch_;
-  }
   [[nodiscard]] std::int64_t num_workers() const {
-    return static_cast<std::int64_t>(workers_.size());
+    return static_cast<std::int64_t>(replicas_.size());
   }
   [[nodiscard]] std::int64_t num_ests() const { return config_.num_ests; }
   [[nodiscard]] const SwitchStats& switch_stats() const { return stats_; }
-  [[nodiscard]] const comm::BucketLayout& current_layout() const {
-    return layout_;
-  }
 
   /// Post-sync gradient buffer of one EST (identical across ESTs after the
   /// all-reduce); exposed for tests and the Fig-13 accounting.
-  [[nodiscard]] const comm::GradientSet& grad_buffer(std::int64_t est) const {
-    return grad_buffers_[static_cast<std::size_t>(est)];
-  }
-
-  /// Bitwise digest of the model parameters.
-  [[nodiscard]] std::uint64_t params_digest() const;
+  [[nodiscard]] const comm::GradientSet& grad_buffer(std::int64_t est) const;
 
   /// Tamper-evident per-parameter digest chain (store order), the payload
   /// of verified checkpoints and the determinism audit's comparison unit.
   [[nodiscard]] DigestChain params_digest_chain() const;
 
   // --- Compute-integrity surface (fault/integrity + core/integrity) ---
-
-  /// Install (or clear, with nullptr) a post-op hook on one physical
-  /// worker's ExecContext — the SDC injection point.  Cleared whenever
-  /// configure_workers rebuilds the worker set; the installer re-arms.
-  void set_post_op_hook(std::int64_t worker, kernels::PostOpHook* hook);
 
   [[nodiscard]] bool witness_enabled() const {
     return config_.witness.witness_every > 0;
@@ -178,7 +116,7 @@ class EasyScaleEngine {
   /// Execution context of physical worker `i` (tests inspect its scratch
   /// arena to assert allocations stop growing after warm-up).
   [[nodiscard]] const kernels::ExecContext& worker_exec(std::int64_t i) const {
-    return workers_[static_cast<std::size_t>(i)].exec;
+    return replica(i, "worker").exec;
   }
 
   /// Worker-0 replica with EST-`rank`'s context loaded (for evaluation).
@@ -192,53 +130,26 @@ class EasyScaleEngine {
   /// before).
   void restore(std::span<const std::uint8_t> bytes);
 
-  // --- Failure-aware comm surface (resilient_comm = true only) ---
-
-  [[nodiscard]] bool resilient_comm_enabled() const {
-    return config_.resilient_comm;
-  }
-
-  /// Arm a comm fault on the transport; `collective < 0` targets the next
-  /// all-reduce (i.e. the next global step's synchronization).
-  void inject_comm_fault(const comm::CommFaultEvent& event);
-
-  /// Report of the most recent resilient all-reduce (empty before the
-  /// first step, and after configure_workers resets the fabric).
-  [[nodiscard]] const std::optional<comm::CollectiveReport>&
-  last_comm_report() const {
-    return last_comm_report_;
-  }
-
-  /// Cumulative fabric counters (zeroed by configure_workers).
-  [[nodiscard]] const comm::TransportStats& transport_stats() const;
-
   /// Per-physical-worker cumulative injected stall seconds — the straggler
   /// signal sched/intra_job re-balances ESTs on.  Empty when disabled.
   [[nodiscard]] std::vector<double> comm_stall_per_worker() const;
 
   /// Current worker -> EST-ranks mapping (for EST re-balancing).
   [[nodiscard]] std::vector<std::vector<std::int64_t>> current_assignment()
-      const;
+      const {
+    return assignment_;
+  }
 
   /// Specs of the current worker set (for re-applying a modified mapping).
-  [[nodiscard]] std::vector<WorkerSpec> current_worker_specs() const;
+  [[nodiscard]] std::vector<WorkerSpec> current_worker_specs() const {
+    return specs_;
+  }
 
  private:
-  struct Worker {
-    WorkerSpec spec;
-    std::unique_ptr<models::Workload> replica;
-    std::unique_ptr<optim::Optimizer> optimizer;
-    std::unique_ptr<optim::StepLR> scheduler;
-    rng::StreamSet streams;  // receptacle the active EST's streams load into
-    kernels::ExecContext exec;
-    std::vector<std::int64_t> ests;
-  };
-
-  void one_step();
-  void capture_context(Worker& worker, ESTContext& ctx);
-  void restore_context(Worker& worker, const ESTContext& ctx);
+  void one_step() override;
+  void capture_context(Replica& worker, ESTContext& ctx);
+  void restore_context(Replica& worker, const ESTContext& ctx);
   void rebuild_loader();
-  [[nodiscard]] std::vector<std::uint8_t> checkpoint_locked() const;
   void run_witness(const std::vector<std::int64_t>& witnessed_ests,
                    const std::vector<ESTContext>& pre_contexts,
                    const std::vector<data::Batch>& batches,
@@ -251,12 +162,10 @@ class EasyScaleEngine {
   std::vector<data::RankDataPipeline> pipelines_;  // one per EST
   std::vector<ESTContext> contexts_;               // one per EST
   std::vector<comm::GradientSet> grad_buffers_;    // one per EST
-  std::vector<Worker> workers_;
+  // Per physical worker, parallel to replicas_: its spec and its ESTs.
+  std::vector<WorkerSpec> specs_;
+  std::vector<std::vector<std::int64_t>> assignment_;
   std::unique_ptr<data::SharedDataWorkerPool> pool_;
-
-  std::unique_ptr<comm::SimTransport> transport_;
-  std::unique_ptr<comm::MembershipMonitor> monitor_;
-  std::optional<comm::CollectiveReport> last_comm_report_;
 
   // Re-execution witness state.  The replica is lazy (first witness step)
   // and reused; its exec context is re-pointed at the witnessed worker's
@@ -267,11 +176,6 @@ class EasyScaleEngine {
   std::int64_t last_clean_witness_step_ = 0;
   std::int64_t witness_round_ = 0;  // rotates which co-hosted EST is replayed
 
-  comm::BucketLayout layout_;
-  bool rebuilt_ = false;
-  std::int64_t global_step_ = 0;
-  std::int64_t steps_per_epoch_ = 0;
-  std::vector<float> losses_;
   SwitchStats stats_;
   std::mutex stats_mutex_;  // counters are shared across worker threads
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
-#include <thread>
 
 #include "common/digest.hpp"
 #include "common/frame.hpp"
@@ -34,49 +33,32 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset& train,
   // r % logical_world, so the data/RNG world is the logical one.
   const std::int64_t shard_world =
       config_.logical_world > 0 ? config_.logical_world : config_.world_size;
-  replicas_.resize(static_cast<std::size_t>(config_.world_size));
+  replicas_.reserve(static_cast<std::size_t>(config_.world_size));
   for (std::int64_t r = 0; r < config_.world_size; ++r) {
     const std::int64_t logical = r % shard_world;
-    Replica& rep = replicas_[static_cast<std::size_t>(r)];
-    rep.workload = models::make_workload(config_.workload);
-    rep.workload->init(config_.seed);  // same init on all ranks (broadcast)
-    rep.optimizer =
-        optim::make_optimizer(rep.workload->params(), config_.optim);
-    rep.scheduler = std::make_unique<optim::StepLR>(
-        *rep.optimizer, config_.lr_step_epochs, config_.gamma);
-    rep.pipeline = std::make_unique<data::RankDataPipeline>(
-        train, augment, shard_world, logical, config_.batch_per_worker,
-        config_.seed);
-    rep.streams.seed_all(config_.seed, static_cast<std::uint64_t>(logical));
-    rep.exec.device = config_.devices[static_cast<std::size_t>(r)];
-    rep.exec.policy = config_.policy;
-    rep.exec.custom_gemm = config_.custom_d2_gemm;
-    rep.exec.intra_op_threads = config_.intra_op_threads;
+    // Same init on all ranks (broadcast).
+    replicas_.push_back(core::make_replica(
+        config_, config_.devices[static_cast<std::size_t>(r)],
+        config_.policy));
+    replicas_.back().streams.seed_all(config_.seed,
+                                      static_cast<std::uint64_t>(logical));
+    pipelines_.emplace_back(train, augment, shard_world, logical,
+                            config_.batch_per_worker, config_.seed);
   }
   const data::DistributedSampler probe(train.size(), shard_world, 0,
                                        config_.batch_per_worker, config_.seed);
   steps_per_epoch_ = probe.steps_per_epoch();
-  // Resolve once so the rebuild after the first iteration uses the same cap.
-  config_.bucket_cap_bytes = comm::resolve_bucket_cap(
-      config_.bucket_cap_bytes, replicas_[0].workload->params());
-  comm::BucketManager mgr(replicas_[0].workload->params(),
-                          config_.bucket_cap_bytes);
-  layout_ = mgr.initial_layout();
+  auto& params0 = replicas_[0].model->params();
+  buckets_.init(params0, config_.bucket_cap_bytes);
   plan_ = make_plan(static_cast<int>(config_.world_size),
-                    config_.shard_degree, replicas_[0].workload->params(),
-                    config_.plan_chunks);
+                    config_.shard_degree, params0, config_.plan_chunks);
   rebuild_shard_maps();
-  if (config_.resilient_comm) {
-    transport_ = std::make_unique<comm::SimTransport>(
-        static_cast<int>(config_.world_size), config_.transport,
-        config_.comm_faults);
-    monitor_ = std::make_unique<comm::MembershipMonitor>(
-        static_cast<int>(config_.world_size), config_.transport);
-  }
+  reset_comm(config_, static_cast<int>(config_.world_size),
+             config_.comm_faults);
 }
 
 void Trainer::rebuild_shard_maps() {
-  auto& params0 = replicas_[0].workload->params();
+  auto& params0 = replicas_[0].model->params();
   owned_slices_.assign(replicas_.size(), {});
   for (std::size_t r = 0; r < replicas_.size(); ++r) {
     owned_slices_[r] =
@@ -86,17 +68,6 @@ void Trainer::rebuild_shard_maps() {
             : optim::full_slices(params0);
   }
   gather_map_ = plan_.sharded() ? gather_map(plan_, params0) : GatherMap{};
-}
-
-void Trainer::inject_comm_fault(const comm::CommFaultEvent& event) {
-  ES_CHECK(config_.resilient_comm,
-           "inject_comm_fault requires resilient_comm = true");
-  transport_->inject(event);
-}
-
-const comm::TransportStats& Trainer::transport_stats() const {
-  ES_CHECK(transport_ != nullptr, "resilient comm not configured");
-  return transport_->stats();
 }
 
 void Trainer::optimize_and_publish() {
@@ -114,60 +85,32 @@ void Trainer::optimize_and_publish() {
   // replica (pure data movement from canonical owners).
   std::vector<autograd::ParameterStore*> stores;
   stores.reserve(replicas_.size());
-  for (auto& rep : replicas_) stores.push_back(&rep.workload->params());
-  if (config_.resilient_comm) {
-    comm::ResilientConfig rcfg = config_.resilient;
-    rcfg.on_death = comm::DeathPolicy::kAbort;
-    const comm::CollectiveReport piece = comm::resilient_all_gather_params(
-        stores, gather_map_.slices, gather_map_.source_of_slice, *transport_,
-        *monitor_, rcfg);
-    comm::CollectiveReport total =
-        last_comm_report_.value_or(comm::CollectiveReport{});
-    comm::merge_collective_report(total, piece);
-    last_comm_report_ = std::move(total);
-  } else {
-    comm::all_gather_params(stores, gather_map_.slices,
-                            gather_map_.source_of_slice);
-  }
+  for (auto& rep : replicas_) stores.push_back(&rep.model->params());
+  sync_all_gather(stores, gather_map_.slices, gather_map_.source_of_slice);
 }
 
 void Trainer::one_step() {
+  // Stock DDP observes ready order on the first iteration to rebuild the
+  // bucket mapping; rank 0's order is representative (identical graphs).
   autograd::GradReadyRecorder recorder;
+  const bool record = config_.rebuild_buckets && buckets_.pending();
   float last_loss = 0.0f;
-  auto run_rank = [&](std::int64_t r) {
-    Replica& rep = replicas_[static_cast<std::size_t>(r)];
-    rep.workload->params().zero_grads();
-    autograd::StepContext ctx;
-    ctx.exec = &rep.exec;
-    ctx.rng = &rep.streams;
-    ctx.training = true;
-    // Stock DDP observes ready order on the first iteration to rebuild the
-    // bucket mapping; rank 0's order is representative (identical graphs).
-    if (r == 0 && config_.rebuild_buckets && !rebuilt_) {
-      recorder.begin(rep.workload->params().size());
-      ctx.grad_ready = &recorder;
-    }
-    const data::Batch batch = rep.pipeline->next();
-    const float loss = rep.workload->train_step(ctx, batch);
-    if (r == config_.world_size - 1) last_loss = loss;
-  };
-  if (config_.parallel_workers && config_.world_size > 1) {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(config_.world_size));
-    for (std::int64_t r = 0; r < config_.world_size; ++r) {
-      threads.emplace_back([&run_rank, r] { run_rank(r); });
-    }
-    for (auto& t : threads) t.join();
-  } else {
-    for (std::int64_t r = 0; r < config_.world_size; ++r) run_rank(r);
-  }
+  core::fan_out(replicas_.size(), config_.parallel_workers,
+                [&](std::size_t r) {
+                  core::Replica& rep = replicas_[r];
+                  const data::Batch batch = pipelines_[r].next();
+                  const float loss = core::local_step(
+                      *rep.model, rep.exec, rep.streams, batch,
+                      record && r == 0 ? &recorder : nullptr);
+                  if (r + 1 == replicas_.size()) last_loss = loss;
+                });
   // Gradient synchronization over the physical world: bucketed ring
   // all-reduce when replicated, reduce-scatter (same reduction bits, owned
   // elements only) when sharded.
   std::vector<comm::GradientSet> sets;
   sets.reserve(replicas_.size());
   for (auto& rep : replicas_) {
-    sets.push_back(comm::GradientSet::from_store(rep.workload->params()));
+    sets.push_back(comm::GradientSet::from_store(rep.model->params()));
   }
   if (config_.logical_world > 0) {
     // Detect-before-publish: vote on per-bucket digests, reduce over one
@@ -179,54 +122,34 @@ void Trainer::one_step() {
     std::vector<comm::GradientSet*> parts;
     parts.reserve(sets.size());
     for (auto& s : sets) parts.push_back(&s);
-    if (config_.resilient_comm) {
-      // Identity mapping: one transport rank per physical rank.  A
-      // condemned rank aborts training (kAbort): the fixed world cannot
-      // shrink, and a sharded plan must roll back and reshard.
-      comm::ResilientConfig rcfg = config_.resilient;
-      rcfg.on_death = comm::DeathPolicy::kAbort;
-      last_comm_report_ =
-          plan_.sharded()
-              ? comm::resilient_reduce_scatter_average(
-                    layout_, parts, owned_slices_, *transport_, *monitor_,
-                    rcfg)
-              : comm::resilient_allreduce_average(layout_, parts, *transport_,
-                                                  *monitor_, rcfg);
-    } else if (plan_.sharded()) {
-      comm::reduce_scatter_average(layout_, parts, owned_slices_);
+    // Identity mapping on the resilient fabric: one transport rank per
+    // physical rank.  A condemned rank aborts training: the fixed world
+    // cannot shrink, and a sharded plan must roll back and reshard.
+    if (plan_.sharded()) {
+      sync_reduce_scatter(parts, owned_slices_);
     } else {
-      comm::allreduce_average(layout_, parts);
+      sync_allreduce(parts);
     }
     for (std::size_t r = 0; r < replicas_.size(); ++r) {
-      sets[r].to_store(replicas_[r].workload->params());
+      sets[r].to_store(replicas_[r].model->params());
     }
   }
   optimize_and_publish();
-  if (config_.rebuild_buckets && !rebuilt_) {
-    comm::BucketManager mgr(replicas_[0].workload->params(),
-                            config_.bucket_cap_bytes);
-    layout_ = mgr.layout_from_ready_order(recorder.order());
-    rebuilt_ = true;
-  }
+  if (record) buckets_.rebuild(replicas_[0].model->params(), recorder);
   losses_.push_back(last_loss);
   ++global_step_;
 }
 
-void Trainer::set_post_op_hook(std::int64_t rank, kernels::PostOpHook* hook) {
-  ES_CHECK(rank >= 0 && rank < config_.world_size,
-           "hook rank " << rank << " out of range");
-  replicas_[static_cast<std::size_t>(rank)].exec.post_op = hook;
-}
-
 void Trainer::vote_and_reduce(std::vector<comm::GradientSet>& sets) {
   const std::int64_t logical = config_.logical_world;
+  const comm::BucketLayout& layout = buckets_.layout();
   VoteReport report;
   // Per-rank, per-bucket digests over the raw gradient bit patterns, in
   // the layout's reduction order.
   std::vector<std::vector<std::uint64_t>> digests(sets.size());
   for (std::size_t r = 0; r < sets.size(); ++r) {
-    digests[r].reserve(layout_.num_buckets());
-    for (const auto& bucket : layout_.buckets) {
+    digests[r].reserve(layout.num_buckets());
+    for (const auto& bucket : layout.buckets) {
       Digest d;
       for (const int pid : bucket) {
         d.update(std::span<const float>(
@@ -236,7 +159,7 @@ void Trainer::vote_and_reduce(std::vector<comm::GradientSet>& sets) {
     }
   }
   report.buckets_checked = static_cast<std::int64_t>(
-      sets.size() * layout_.num_buckets());
+      sets.size() * layout.num_buckets());
   // Ship every non-collector rank's digest vector to rank 0 over the
   // fabric when one exists.  The per-chunk checksum turns length-
   // preserving in-flight corruption into a visible kCorrupt, and this
@@ -275,7 +198,7 @@ void Trainer::vote_and_reduce(std::vector<comm::GradientSet>& sets) {
       group.push_back(r);
     }
     std::int64_t representative = -1;
-    for (std::size_t b = 0; b < layout_.num_buckets(); ++b) {
+    for (std::size_t b = 0; b < layout.num_buckets(); ++b) {
       std::map<std::uint64_t, std::int64_t> votes;
       for (const std::int64_t r : group) {
         ++votes[digests[static_cast<std::size_t>(r)][b]];
@@ -330,34 +253,45 @@ void Trainer::vote_and_reduce(std::vector<comm::GradientSet>& sets) {
   // Reduce over the representatives only: bitwise equal to a clean DDP run
   // at world_size = logical_world.  All representatives end up with the
   // identical average; publish the first into every replica's store.
-  comm::allreduce_average(layout_, parts);
+  comm::allreduce_average(layout, parts);
   for (auto& rep : replicas_) {
-    parts[0]->to_store(rep.workload->params());
+    parts[0]->to_store(rep.model->params());
   }
   last_vote_report_ = std::move(report);
 }
 
+namespace {
+
+/// Copy `slices` of every optimizer-state tensor from `src` into `dst`.
+/// State tensor t shadows parameter t % num_params (SGD: momentum per
+/// param; Adam: m then v per param — optim/*.hpp state order).
+void copy_state_slices(const std::vector<tensor::Tensor*>& src,
+                       const std::vector<tensor::Tensor*>& dst,
+                       const std::vector<optim::ParamSlice>& slices,
+                       std::size_t num_params) {
+  for (const auto& s : slices) {
+    for (std::size_t t = 0; t < src.size(); ++t) {
+      if (t % num_params != s.param) continue;
+      std::copy(src[t]->data().begin() + s.begin,
+                src[t]->data().begin() + s.end,
+                dst[t]->data().begin() + s.begin);
+    }
+  }
+}
+
+}  // namespace
+
 void Trainer::gather_canonical_state_into(const Plan& from, std::int64_t dst) {
   if (!from.sharded()) return;  // every rank already holds full state
-  auto& params0 = replicas_[0].workload->params();
-  const std::size_t num_params = params0.size();
-  auto dst_state =
+  auto& params0 = replicas_[0].model->params();
+  const auto dst_state =
       replicas_[static_cast<std::size_t>(dst)].optimizer->state_tensors();
   for (std::size_t c = 0; c < from.chunks.size(); ++c) {
     const auto src_rank = static_cast<std::size_t>(from.canonical_rank(c));
     if (static_cast<std::int64_t>(src_rank) == dst) continue;
-    auto src_state = replicas_[src_rank].optimizer->state_tensors();
-    const auto slices = slices_for_chunk(from, params0, c);
-    for (const auto& s : slices) {
-      // State tensor t shadows parameter t % num_params (SGD: momentum per
-      // param; Adam: m then v per param — optim/*.hpp state order).
-      for (std::size_t t = 0; t < src_state.size(); ++t) {
-        if (t % num_params != s.param) continue;
-        std::copy(src_state[t]->data().begin() + s.begin,
-                  src_state[t]->data().begin() + s.end,
-                  dst_state[t]->data().begin() + s.begin);
-      }
-    }
+    copy_state_slices(replicas_[src_rank].optimizer->state_tensors(),
+                      dst_state, slices_for_chunk(from, params0, c),
+                      params0.size());
   }
 }
 
@@ -365,7 +299,7 @@ void Trainer::reshard(int new_shard_degree) {
   ES_CHECK(config_.logical_world == 0,
            "reshard requires logical_world == 0");
   if (new_shard_degree == plan_.shard_degree) return;
-  auto& params0 = replicas_[0].workload->params();
+  auto& params0 = replicas_[0].model->params();
   const Plan new_plan =
       make_plan(static_cast<int>(config_.world_size), new_shard_degree,
                 params0, config_.plan_chunks);
@@ -375,24 +309,16 @@ void Trainer::reshard(int new_shard_degree) {
   // canonical owner to each rank whose NEW shard owns it.  No state is
   // split or re-summed — ownership is the only thing that changes, which
   // is why the continued trajectory is bitwise unchanged.
-  const std::size_t num_params = params0.size();
   for (std::size_t c = 0; c < plan_.chunks.size(); ++c) {
     const auto src_rank = static_cast<std::size_t>(plan_.canonical_rank(c));
-    auto src_state = replicas_[src_rank].optimizer->state_tensors();
+    const auto src_state = replicas_[src_rank].optimizer->state_tensors();
     const auto slices = slices_for_chunk(plan_, params0, c);
     const int new_owner = new_plan.chunk_owner(c);
     for (std::size_t r = 0; r < replicas_.size(); ++r) {
       if (r == src_rank) continue;
       if (new_plan.shard_index(static_cast<int>(r)) != new_owner) continue;
-      auto dst_state = replicas_[r].optimizer->state_tensors();
-      for (const auto& s : slices) {
-        for (std::size_t t = 0; t < src_state.size(); ++t) {
-          if (t % num_params != s.param) continue;
-          std::copy(src_state[t]->data().begin() + s.begin,
-                    src_state[t]->data().begin() + s.end,
-                    dst_state[t]->data().begin() + s.begin);
-        }
-      }
+      copy_state_slices(src_state, replicas_[r].optimizer->state_tensors(),
+                        slices, params0.size());
     }
   }
   plan_ = new_plan;
@@ -424,7 +350,7 @@ DigestChain chunk_chain_of(const Plan& plan,
 void Trainer::build_checkpoint_image(std::vector<std::uint8_t>* payload,
                                      DigestChain* chain,
                                      core::ShardFrameMeta* meta) {
-  auto& params0 = replicas_[0].workload->params();
+  auto& params0 = replicas_[0].model->params();
   // Assemble canonical optimizer state on rank 0 (a gather from the chunk
   // owners); rank 0's serialized state is then degree-independent.
   gather_canonical_state_into(plan_, 0);
@@ -432,14 +358,13 @@ void Trainer::build_checkpoint_image(std::vector<std::uint8_t>* payload,
   w.write_string(config_.workload);
   w.write(config_.world_size);
   w.write(global_step_);
-  w.write(rebuilt_);
-  layout_.save(w);
+  buckets_.save(w);
   params0.save_values(w);
   replicas_[0].optimizer->save(w);
   replicas_[0].scheduler->save(w);
-  for (auto& rep : replicas_) {
-    rep.streams.state().save(w);
-    rep.pipeline->save(w);
+  for (std::size_t r = 0; r < replicas_.size(); ++r) {
+    replicas_[r].streams.state().save(w);
+    pipelines_[r].save(w);
   }
   w.write_vector(losses_);
   *payload = w.take();
@@ -537,36 +462,20 @@ void Trainer::apply_checkpoint_image(std::span<const std::uint8_t> bytes,
   const auto world = r.read<std::int64_t>();
   ES_CHECK(world == config_.world_size, "checkpoint payload world mismatch");
   global_step_ = r.read<std::int64_t>();
-  rebuilt_ = r.read<bool>();
-  layout_ = comm::BucketLayout::load(r);
-  // Canonical parameters into rank 0, then replicate (parameters are
-  // replicated under every plan).
-  auto& params0 = replicas_[0].workload->params();
+  buckets_.load(r);
+  // Canonical parameters, optimizer and schedule state into rank 0, then
+  // into every rank: parameters are replicated under every plan, and full
+  // optimizer state everywhere is correct under any shard degree (each
+  // rank reads only the chunks its CURRENT plan owns; the rest is
+  // canonical surplus).
+  auto& params0 = replicas_[0].model->params();
   params0.load_values(r);
-  for (std::size_t rep = 1; rep < replicas_.size(); ++rep) {
-    auto& store = replicas_[rep].workload->params();
-    for (std::size_t i = 0; i < params0.size(); ++i) {
-      store.all()[i]->value = params0.all()[i]->value;
-    }
-  }
-  // Canonical optimizer + schedule state into every rank: full state
-  // everywhere is correct under any shard degree (each rank reads only the
-  // chunks its CURRENT plan owns; the rest is canonical surplus).
   replicas_[0].optimizer->load(r);
   replicas_[0].scheduler->load(r);
-  {
-    ByteWriter copy;
-    replicas_[0].optimizer->save(copy);
-    replicas_[0].scheduler->save(copy);
-    for (std::size_t rep = 1; rep < replicas_.size(); ++rep) {
-      ByteReader rr(copy.bytes());
-      replicas_[rep].optimizer->load(rr);
-      replicas_[rep].scheduler->load(rr);
-    }
-  }
-  for (auto& rep : replicas_) {
-    rep.streams.set_state(rng::StreamSetState::load(r));
-    rep.pipeline->load(r);
+  broadcast_replica0_state();
+  for (std::size_t rank = 0; rank < replicas_.size(); ++rank) {
+    replicas_[rank].streams.set_state(rng::StreamSetState::load(r));
+    pipelines_[rank].load(r);
   }
   losses_ = r.read_vector<float>();
   r.require_exhausted("parallel trainer checkpoint payload");
@@ -576,26 +485,6 @@ void Trainer::apply_checkpoint_image(std::span<const std::uint8_t> bytes,
   ES_CHECK(rechain == meta.chunk_chain,
            "restored parameters do not re-derive the checkpoint's per-chunk "
            "digest chain (" << what << ")");
-}
-
-void Trainer::run_steps(std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) one_step();
-}
-
-void Trainer::run_epochs(std::int64_t n) {
-  for (std::int64_t e = 0; e < n; ++e) {
-    const std::int64_t epoch = global_step_ / steps_per_epoch_;
-    for (auto& rep : replicas_) rep.scheduler->set_epoch(epoch);
-    run_steps(steps_per_epoch_);
-  }
-}
-
-std::uint64_t Trainer::params_digest() const {
-  Digest d;
-  for (const auto* p : replicas_[0].workload->params().all()) {
-    d.update(p->value.data());
-  }
-  return d.value();
 }
 
 }  // namespace easyscale::parallel

@@ -23,52 +23,24 @@
 #include <span>
 #include <vector>
 
-#include "comm/allreduce.hpp"
-#include "comm/bucket.hpp"
-#include "comm/resilient.hpp"
-#include "comm/shard.hpp"
 #include "core/checkpoint_io.hpp"
+#include "core/step_core.hpp"
 #include "data/pipeline.hpp"
-#include "kernels/exec_context.hpp"
-#include "models/workload.hpp"
-#include "optim/optimizer.hpp"
-#include "optim/sgd.hpp"
 #include "parallel/plan.hpp"
 
 namespace easyscale::parallel {
 
-struct TrainerConfig {
-  std::string workload = "ResNet18";
+/// The trainer's config: the shared step-core fields (core::StepCoreConfig)
+/// plus the plan- and rank-specific ones.  With resilient_comm, the fabric
+/// has one transport rank per physical rank; a condemned rank throws
+/// comm::RankDeathError out of run_steps (the caller then rolls back and,
+/// when sharded, reshards).
+struct TrainerConfig : core::StepCoreConfig {
   std::int64_t world_size = 4;
   std::int64_t batch_per_worker = 8;
-  std::uint64_t seed = 42;
   kernels::KernelPolicy policy = kernels::KernelPolicy::kDeterministic;
   std::vector<kernels::DeviceType> devices;  // per rank; default all V100
   bool rebuild_buckets = true;
-  /// Custom D2 GEMM kernel handle (kernels/custom.hpp), 0 = built-in.
-  int custom_d2_gemm = 0;
-  /// Bucket capacity in bytes; 0 resolves to EASYSCALE_BUCKET_CAP (when
-  /// set and >= the largest parameter) and otherwise to the historical
-  /// 4096-byte default.  See comm::resolve_bucket_cap.
-  std::int64_t bucket_cap_bytes = 0;
-  optim::OptimizerConfig optim;
-  std::int64_t lr_step_epochs = 20;
-  float gamma = 0.1f;
-  /// Run ranks on parallel threads within a step (bitwise identical to
-  /// sequential; replicas are disjoint between synchronization points).
-  bool parallel_workers = false;
-  /// Intra-op compute threads per rank (0 = the EASYSCALE_THREADS process
-  /// default); all ranks share one bounded global pool.  Bitwise identical
-  /// for every value.
-  int intra_op_threads = 0;
-  /// Route gradient sync through the failure-aware fabric (one transport
-  /// rank per physical rank, identity mapping).  Bitwise identical to the
-  /// plain path when no fault fires; a condemned rank throws
-  /// comm::RankDeathError out of run_steps (the caller then rolls back
-  /// and, when sharded, reshards).
-  bool resilient_comm = false;
-  comm::TransportConfig transport;
-  comm::ResilientConfig resilient;  // on_death is forced to kAbort
   /// Pre-sampled comm fault schedule replayed by the transport.
   std::vector<comm::CommFaultEvent> comm_faults;
   /// Redundant-replica SDC voting (see the PR-5 integrity layer).  Mutually
@@ -94,38 +66,18 @@ struct VoteReport {
   std::vector<std::int64_t> corrupt_ranks;
 };
 
-class Trainer {
+class Trainer : public core::StepCore {
  public:
   Trainer(TrainerConfig config, const data::Dataset& train,
           const data::AugmentConfig& augment);
 
-  /// Run `n` synchronized global steps; records the last rank's loss.
-  void run_steps(std::int64_t n);
-
-  /// Run whole epochs (advances the LR schedule between them).
-  void run_epochs(std::int64_t n);
-
-  [[nodiscard]] const std::vector<float>& loss_history() const {
-    return losses_;
-  }
-
-  /// Bitwise digest of rank-0 model parameters.
-  [[nodiscard]] std::uint64_t params_digest() const;
-
   /// Rank-0 replica (e.g. for evaluation).
   [[nodiscard]] models::Workload& model(std::int64_t rank = 0) {
-    return *replicas_[static_cast<std::size_t>(rank)].workload;
+    return *replica(rank, "rank").model;
   }
 
-  [[nodiscard]] std::int64_t steps_per_epoch() const {
-    return steps_per_epoch_;
-  }
-  [[nodiscard]] std::int64_t global_step() const { return global_step_; }
-  [[nodiscard]] const comm::BucketLayout& current_layout() const {
-    return layout_;
-  }
   [[nodiscard]] optim::StepLR& scheduler(std::int64_t rank = 0) {
-    return *replicas_[static_cast<std::size_t>(rank)].scheduler;
+    return *replica(rank, "rank").scheduler;
   }
 
   /// Set the LR-schedule epoch on every rank (elastic baselines restart
@@ -170,28 +122,7 @@ class Trainer {
   /// guarantees and chunk-chain attestation as restore_checkpoint.
   void restore_checkpoint_bytes(const std::vector<std::uint8_t>& bytes);
 
-  // --- Failure-aware comm surface (resilient_comm = true only) ---
-
-  [[nodiscard]] bool resilient_comm_enabled() const {
-    return config_.resilient_comm;
-  }
-
-  /// Arm a comm fault; `collective < 0` targets the next step's sync.
-  void inject_comm_fault(const comm::CommFaultEvent& event);
-
-  /// Report of the most recent resilient gradient sync.
-  [[nodiscard]] const std::optional<comm::CollectiveReport>&
-  last_comm_report() const {
-    return last_comm_report_;
-  }
-
-  [[nodiscard]] const comm::TransportStats& transport_stats() const;
-
   // --- Compute-integrity surface (logical_world > 0) ---
-
-  /// Install (or clear, with nullptr) a post-op hook on one rank's
-  /// ExecContext — the SDC injection point for the voting tests.
-  void set_post_op_hook(std::int64_t rank, kernels::PostOpHook* hook);
 
   /// Report of the most recent gradient-digest vote (empty before the
   /// first step or when voting is disabled).
@@ -200,16 +131,7 @@ class Trainer {
   }
 
  private:
-  struct Replica {
-    std::unique_ptr<models::Workload> workload;
-    std::unique_ptr<optim::Optimizer> optimizer;
-    std::unique_ptr<optim::StepLR> scheduler;
-    std::unique_ptr<data::RankDataPipeline> pipeline;
-    rng::StreamSet streams;
-    kernels::ExecContext exec;
-  };
-
-  void one_step();
+  void one_step() override;
   /// Digest vote + representative reduction (logical_world > 0).  Throws
   /// core::IntegrityError when a rank loses the vote.
   void vote_and_reduce(std::vector<comm::GradientSet>& sets);
@@ -219,7 +141,7 @@ class Trainer {
   /// when sharded, then all-gather the published parameter chunks.
   void optimize_and_publish();
   /// Copy every chunk's optimizer-state slices from its canonical owner
-  /// under `from` into rank `dst` (used by reshard and checkpoint save).
+  /// under `from` into rank `dst` (checkpoint save).
   void gather_canonical_state_into(const Plan& from, std::int64_t dst);
   /// Serialize the canonical payload, per-tensor chain and shard frame
   /// (the pieces both the file writer and checkpoint_bytes frame).
@@ -233,21 +155,13 @@ class Trainer {
                               const std::string& what);
 
   TrainerConfig config_;
-  std::vector<Replica> replicas_;
+  std::vector<data::RankDataPipeline> pipelines_;  // one per rank
   Plan plan_;
   /// Per rank: the flattened-space slices its shard owns (empty lists at
   /// shard_degree == 1 are replaced by full coverage — see ctor).
   std::vector<comm::ShardSlices> owned_slices_;
   GatherMap gather_map_;
-  std::unique_ptr<comm::SimTransport> transport_;
-  std::unique_ptr<comm::MembershipMonitor> monitor_;
-  std::optional<comm::CollectiveReport> last_comm_report_;
   std::optional<VoteReport> last_vote_report_;
-  comm::BucketLayout layout_;
-  bool rebuilt_ = false;
-  std::int64_t global_step_ = 0;
-  std::int64_t steps_per_epoch_ = 0;
-  std::vector<float> losses_;
 };
 
 }  // namespace easyscale::parallel

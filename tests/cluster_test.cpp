@@ -164,7 +164,9 @@ TEST(TenantTrace, DeterministicAndThreadInvariant) {
     EXPECT_EQ(a[i].spec.workload, b[i].spec.workload);
     EXPECT_EQ(a[i].spec.arrival_s, b[i].spec.arrival_s);
     EXPECT_EQ(a[i].spec.total_steps, b[i].spec.total_steps);
-    if (i > 0) EXPECT_GE(a[i].spec.arrival_s, a[i - 1].spec.arrival_s);
+    if (i > 0) {
+      EXPECT_GE(a[i].spec.arrival_s, a[i - 1].spec.arrival_s);
+    }
   }
 }
 
@@ -351,7 +353,9 @@ TEST(QuarantineFeed, TraceIsDeterministicSortedAndBounded) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].t_s, b[i].t_s);
     EXPECT_EQ(a[i].device_type, b[i].device_type);
-    if (i > 0) EXPECT_GE(a[i].t_s, a[i - 1].t_s);
+    if (i > 0) {
+      EXPECT_GE(a[i].t_s, a[i - 1].t_s);
+    }
     ++per_type[static_cast<std::size_t>(a[i].device_type)];
   }
   for (int t = 0; t < 3; ++t) {

@@ -27,9 +27,9 @@ TEST(CustomKernel, RegistrationAndLookup) {
   EXPECT_GE(h, 1);
   EXPECT_EQ(custom_gemm_name(h), "kahan");
   EXPECT_GE(num_custom_gemms(), 1);
-  EXPECT_THROW(custom_gemm(0), Error);
-  EXPECT_THROW(custom_gemm(num_custom_gemms() + 1), Error);
-  EXPECT_THROW(register_custom_gemm("null", nullptr), Error);
+  EXPECT_THROW((void)custom_gemm(0), Error);
+  EXPECT_THROW((void)custom_gemm(num_custom_gemms() + 1), Error);
+  EXPECT_THROW((void)register_custom_gemm("null", nullptr), Error);
 }
 
 TEST(CustomKernel, DispatchOnlyUnderHardwareAgnostic) {

@@ -54,6 +54,18 @@ TEST(DDP, BucketRebuildHappensAfterFirstStep) {
   EXPECT_EQ(trainer.current_layout(), rebuilt) << "rebuild happens once";
 }
 
+TEST(DDP, OutOfRangeRanksThrow) {
+  auto wd = models::make_dataset_for("ResNet18", 128, 16, 42);
+  Trainer trainer(config(2), *wd.train, wd.augment);
+  EXPECT_THROW((void)trainer.model(2), Error);
+  EXPECT_THROW((void)trainer.model(-1), Error);
+  EXPECT_THROW((void)trainer.scheduler(2), Error);
+  EXPECT_THROW((void)trainer.scheduler(-1), Error);
+  EXPECT_THROW(trainer.set_post_op_hook(2, nullptr), Error);
+  EXPECT_NO_THROW((void)trainer.model(1));
+  EXPECT_NO_THROW((void)trainer.scheduler(1));
+}
+
 TEST(DDP, DisablingRebuildKeepsInitialLayout) {
   auto cfg = config(4);
   cfg.rebuild_buckets = false;

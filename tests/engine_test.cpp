@@ -199,6 +199,22 @@ TEST(Engine, ModelForEvalLoadsRequestedESTContext) {
   EXPECT_NE(d0.value(), d3.value());
 }
 
+TEST(Engine, OutOfRangeIndicesThrow) {
+  auto wd = models::make_dataset_for("ResNet18", 128, 16, 42);
+  EasyScaleEngine e(config(), *wd.train, wd.augment);
+  e.configure_workers(std::vector<WorkerSpec>(2));
+  EXPECT_THROW((void)e.model_for_eval(4), Error);
+  EXPECT_THROW((void)e.model_for_eval(-1), Error);
+  EXPECT_THROW((void)e.grad_buffer(4), Error);
+  EXPECT_THROW((void)e.grad_buffer(-1), Error);
+  EXPECT_THROW((void)e.worker_exec(2), Error);
+  EXPECT_THROW((void)e.worker_exec(-1), Error);
+  EXPECT_THROW(e.set_post_op_hook(2, nullptr), Error);
+  EXPECT_NO_THROW((void)e.model_for_eval(3));
+  EXPECT_NO_THROW((void)e.grad_buffer(3));
+  EXPECT_NO_THROW((void)e.worker_exec(1));
+}
+
 TEST(Engine, LRScheduleMatchesDDPOverEpochs) {
   auto wd = models::make_dataset_for("ResNet18", 64, 16, 42);
   auto cfg = config();

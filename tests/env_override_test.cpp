@@ -82,7 +82,7 @@ TEST(EnvOverride, MalformedValueNamesTheVariable) {
   ScopedEnv env("EASYSCALE_TEST_KNOB");
   env.set("not-a-number");
   try {
-    env_int64("EASYSCALE_TEST_KNOB", 0, 10);
+    (void)env_int64("EASYSCALE_TEST_KNOB", 0, 10);
     FAIL() << "expected an Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("EASYSCALE_TEST_KNOB"),
@@ -96,9 +96,9 @@ TEST(EnvOverride, MalformedValueNamesTheVariable) {
 TEST(EnvOverride, OutOfRangeNamesTheRange) {
   ScopedEnv env("EASYSCALE_TEST_KNOB");
   env.set("11");
-  EXPECT_THROW(env_int64("EASYSCALE_TEST_KNOB", 0, 10), Error);
+  EXPECT_THROW((void)env_int64("EASYSCALE_TEST_KNOB", 0, 10), Error);
   env.set("-1");
-  EXPECT_THROW(env_int64("EASYSCALE_TEST_KNOB", 0, 10), Error);
+  EXPECT_THROW((void)env_int64("EASYSCALE_TEST_KNOB", 0, 10), Error);
   env.set("10");
   EXPECT_EQ(env_int64("EASYSCALE_TEST_KNOB", 0, 10), 10);
 }
@@ -114,11 +114,11 @@ TEST(EnvOverride, BucketCapHonored) {
 TEST(EnvOverride, BucketCapRejectsGarbageAndZero) {
   ScopedEnv env("EASYSCALE_BUCKET_CAP");
   env.set("25MB");
-  EXPECT_THROW(comm::env_default_bucket_cap(), Error);
+  EXPECT_THROW((void)comm::env_default_bucket_cap(), Error);
   env.set("0");  // a zero cap is out of the [1, inf) range, not "unset"
-  EXPECT_THROW(comm::env_default_bucket_cap(), Error);
+  EXPECT_THROW((void)comm::env_default_bucket_cap(), Error);
   env.set("-1");
-  EXPECT_THROW(comm::env_default_bucket_cap(), Error);
+  EXPECT_THROW((void)comm::env_default_bucket_cap(), Error);
 }
 
 // How EASYSCALE_BUCKET_CAP feeds comm::resolve_bucket_cap and the engine's
@@ -151,7 +151,7 @@ TEST_F(BucketCapEnv, ConfigCapBeatsEnv) {
 TEST_F(BucketCapEnv, EnvCapSmallerThanLargestParameterIsRejected) {
   env_.set("4");  // smaller than any parameter
   auto model = models::make_workload("NeuMF");
-  EXPECT_THROW(comm::resolve_bucket_cap(0, model->params()), Error);
+  EXPECT_THROW((void)comm::resolve_bucket_cap(0, model->params()), Error);
 }
 
 TEST_F(BucketCapEnv, GarbageEnvIsRejectedWithNamedError) {
@@ -159,7 +159,7 @@ TEST_F(BucketCapEnv, GarbageEnvIsRejectedWithNamedError) {
   // training silently with the built-in default.
   env_.set("not-a-number");
   auto model = models::make_workload("NeuMF");
-  EXPECT_THROW(comm::env_default_bucket_cap(), Error);
+  EXPECT_THROW((void)comm::env_default_bucket_cap(), Error);
   try {
     (void)comm::resolve_bucket_cap(0, model->params());
     FAIL() << "expected an Error";
@@ -217,15 +217,15 @@ TEST(EnvOverride, PeerReplicasEnvParsedStrictly) {
   env.set("0");
   EXPECT_EQ(fault::resolve_peer_replicas(0), 0);  // explicit zero is fine
   env.set("two");
-  EXPECT_THROW(fault::resolve_peer_replicas(0), Error);
+  EXPECT_THROW((void)fault::resolve_peer_replicas(0), Error);
   env.set("16");  // above the [0, 15] range
-  EXPECT_THROW(fault::resolve_peer_replicas(0), Error);
+  EXPECT_THROW((void)fault::resolve_peer_replicas(0), Error);
   env.set("-1");
-  EXPECT_THROW(fault::resolve_peer_replicas(0), Error);
+  EXPECT_THROW((void)fault::resolve_peer_replicas(0), Error);
 }
 
 TEST(EnvOverride, PeerReplicasNegativeConfigIsAnError) {
-  EXPECT_THROW(fault::resolve_peer_replicas(-1), Error);
+  EXPECT_THROW((void)fault::resolve_peer_replicas(-1), Error);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // The frame codec (common/frame.hpp) on its own, and the every-byte flip
 // and every-offset truncation sweep over the formats built on it: a single
-// flipped bit anywhere in an ESCK v2 file, an ESCK v3 trainer checkpoint or
-// a trainer snapshot, or any proper prefix of one, must surface as
-// easyscale::Error — never a silent restore, never bad_alloc.
+// flipped bit anywhere in an ESCK v2 file, an ESCK v3 trainer checkpoint, a
+// trainer snapshot, a peer-checkpoint frame, a control-plane decision
+// record or a decision log, or any proper prefix of one, must surface as
+// easyscale::Error — never a silent restore, never bad_alloc.  For a peer
+// frame this is what makes a frame torn in flight harmless: whatever byte
+// the crash mangled, the frame cannot enter a recovery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +20,8 @@
 #include "common/error.hpp"
 #include "common/frame.hpp"
 #include "core/checkpoint_io.hpp"
+#include "fault/controller.hpp"
+#include "fault/peer_checkpoint.hpp"
 #include "models/datasets.hpp"
 #include "parallel/trainer.hpp"
 
@@ -204,6 +209,49 @@ SweepTarget trainer_snapshot_target() {
           }};
 }
 
+SweepTarget peer_frame_target() {
+  return {"PeerFrame",
+          [] {
+            fault::PeerFrame frame;
+            frame.epoch = 7;
+            frame.owner = 1;
+            frame.world = 4;
+            frame.payload.resize(700);
+            for (std::size_t i = 0; i < frame.payload.size(); ++i) {
+              frame.payload[i] = static_cast<std::uint8_t>(i * 131 + 0x5A);
+            }
+            return frame.serialize();
+          },
+          [](const std::vector<std::uint8_t>& bytes) {
+            (void)fault::PeerFrame::parse(bytes);
+          }};
+}
+
+fault::DecisionLog sweep_decision_log() {
+  fault::DecisionLog log;
+  log.append_new(1, 0, fault::DecisionKind::kMembershipEpoch, 0, 4, -1, 0);
+  log.append_new(1, 1, fault::DecisionKind::kBlessCheckpoint, 0, 1);
+  log.append_new(2, 2, fault::DecisionKind::kCondemnPropose, 3, 7);
+  log.append_new(2, 3, fault::DecisionKind::kCondemnCommit, 3, 7);
+  log.append_new(2, 4, fault::DecisionKind::kQuarantine, 3, 7, 1);
+  return log;
+}
+
+SweepTarget decision_record_target() {
+  return {"DecisionRecord",
+          [] { return sweep_decision_log().records()[2].serialize(); },
+          [](const std::vector<std::uint8_t>& bytes) {
+            (void)fault::DecisionRecord::parse(bytes);
+          }};
+}
+
+SweepTarget decision_log_target() {
+  return {"DecisionLog", [] { return sweep_decision_log().serialize(); },
+          [](const std::vector<std::uint8_t>& bytes) {
+            (void)fault::DecisionLog::parse(bytes);
+          }};
+}
+
 class FrameFlipSweep : public ::testing::TestWithParam<SweepTarget> {};
 
 TEST_P(FrameFlipSweep, EveryByteFlipThrowsError) {
@@ -252,7 +300,8 @@ TEST_P(FrameFlipSweep, EveryTruncationThrowsError) {
 INSTANTIATE_TEST_SUITE_P(
     Formats, FrameFlipSweep,
     ::testing::Values(esck_v2_target(), esck_v3_trainer_target(),
-                      trainer_snapshot_target()),
+                      trainer_snapshot_target(), peer_frame_target(),
+                      decision_record_target(), decision_log_target()),
     [](const ::testing::TestParamInfo<SweepTarget>& info) {
       return info.param.name;
     });

@@ -122,7 +122,9 @@ TEST(RecoveryStorm, ComposedFaultsStayBitwiseAcrossTheLattice) {
       << "replica-loss events must land across " << seeds << " seeds";
   // Both lattice levels exercised across enough seeds (CI's 32-seed sweep);
   // small local sweeps may legitimately see only the peer level.
-  if (seeds >= 16) EXPECT_GT(total_disk_recoveries, 0);
+  if (seeds >= 16) {
+    EXPECT_GT(total_disk_recoveries, 0);
+  }
 }
 
 }  // namespace

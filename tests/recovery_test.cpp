@@ -289,8 +289,8 @@ TEST(Recovery, TrainerSnapshotRestoresAcrossShardDegrees) {
   // the straight-through run.
   auto& wd = trainer_data();
   const std::uint64_t clean = trainer_clean_digest(1, 8);
-  for (const auto [save_deg, restore_deg] : {std::pair{4, 1},
-                                             std::pair{1, 4}}) {
+  for (const auto& [save_deg, restore_deg] : {std::pair{4, 1},
+                                              std::pair{1, 4}}) {
     parallel::Trainer saver(trainer_config(save_deg), *wd.train, wd.augment);
     saver.run_steps(4);
     const auto snapshot = saver.checkpoint_bytes();

@@ -259,32 +259,6 @@ TEST(SerializationFuzz, DecisionRecordTruncationAtEveryOffsetRejected) {
   EXPECT_THROW((void)fault::DecisionRecord::parse(padded), Error);
 }
 
-TEST(SerializationFuzz, DecisionLogEveryByteFlipRejected) {
-  // Log framing: magic + count + records + tail trailer.  Every byte is
-  // covered by a check — magic/count by the header validation, record
-  // bytes by the per-record digest, the trailer by the tail comparison.
-  const auto log = make_decision_log();
-  const auto bytes = log.serialize();
-  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
-    auto mutated = bytes;
-    mutated[pos] ^= 0x10;
-    EXPECT_THROW((void)fault::DecisionLog::parse(mutated), Error)
-        << "flip at byte " << pos;
-  }
-  const auto round = fault::DecisionLog::parse(bytes);
-  EXPECT_EQ(round.tail(), log.tail());
-  EXPECT_EQ(round.records(), log.records());
-}
-
-TEST(SerializationFuzz, DecisionLogTruncationAtEveryOffsetRejected) {
-  const auto bytes = make_decision_log().serialize();
-  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
-    const std::span<const std::uint8_t> cut(bytes.data(), keep);
-    EXPECT_THROW((void)fault::DecisionLog::parse(cut), Error)
-        << "cut at " << keep;
-  }
-}
-
 TEST(SerializationFuzz, DecisionLogDuplicatedEntryRejectedNeverApplied) {
   const auto source = make_decision_log();
   fault::DecisionLog dst;

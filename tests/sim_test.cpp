@@ -274,8 +274,8 @@ TEST(SimulatorOverlap, FullOverlapIsTheMaxAndPartialInterpolates) {
   EXPECT_EQ(overlapped_step_seconds(2.0, 5.0, 1.0), 5.0);
   const double half = overlapped_step_seconds(3.0, 2.0, 0.5);
   EXPECT_DOUBLE_EQ(half, 0.5 * 5.0 + 0.5 * 3.0);
-  EXPECT_THROW(overlapped_step_seconds(1.0, 1.0, 1.5), Error);
-  EXPECT_THROW(overlapped_step_seconds(-1.0, 1.0, 0.5), Error);
+  EXPECT_THROW((void)overlapped_step_seconds(1.0, 1.0, 1.5), Error);
+  EXPECT_THROW((void)overlapped_step_seconds(-1.0, 1.0, 0.5), Error);
 }
 
 TEST(SimulatorOverlap, ZeroFracTraceReplayMatchesNoCommModel) {
